@@ -42,7 +42,6 @@ from .graphs import (
     INFINITE_GIRTH,
     BipartiteGraph,
     ConflictGraph,
-    DistanceOracle,
     SimpleGraph,
     closed_edge_neighborhood,
     conflict_graph,

@@ -2,8 +2,9 @@
 
 One binary with subcommands; all parsing, serialization, and seeding is
 shared with the library so identical flags and seed give byte-identical
-output files.  Exit codes: 0 success, 2 invalid input, 3 verification
-failure, 4 timeout without an answer.
+output files.  Exit codes: 0 success, 1 forced construction below the
+guaranteed floor failed, 2 invalid input, 3 verification failure, 4 timeout
+without an answer.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .solver import (
 )
 
 EXIT_OK = 0
+EXIT_CONSTRUCTION_FAILED = 1
 EXIT_INVALID_INPUT = 2
 EXIT_VERIFICATION_FAILURE = 3
 EXIT_TIMEOUT = 4
@@ -299,7 +301,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_VERIFICATION_FAILURE
     except ConstructionFailedError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return EXIT_CONSTRUCTION_FAILED
     except InternalInvariantError:
         raise  # a bug, not bad input: crash with a traceback
     except (DimacsParseError, StrongEdgeError, ValueError, OSError) as exc:

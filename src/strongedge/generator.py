@@ -73,7 +73,6 @@ class AddStep:
 
     x: int
     y: int
-    girth_ok: bool = True
 
 
 @dataclass(frozen=True)
@@ -84,7 +83,6 @@ class SwapStep:
     y_high: int
     x_low: int
     y_low: int
-    girth_ok: bool = True
 
     @property
     def added(self) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -207,8 +205,8 @@ def find_distant_low_pair(state: AugmentState, rng: random.Random) -> tuple[int,
     rng.shuffle(xs)
     ys = sorted(state.y_low)
     for x in xs:
-        oracle = distances_from(state.graph, [x], state.girth_target - 2)
-        candidates = [y for y in ys if not oracle.reached(y)]
+        dist = distances_from(state.graph, [x], state.girth_target - 2)
+        candidates = [y for y in ys if dist[y] < 0]
         if candidates:
             return x, rng.choice(candidates)
     return None
@@ -227,12 +225,12 @@ def find_swap_edge(
     """
     if not state.added:
         raise InternalInvariantError("swap requested with no added edges")
-    oracle = distances_from(state.graph, [x_l, y_l], state.girth_target - 2)
+    dist = distances_from(state.graph, [x_l, y_l], state.girth_target - 2)
     candidates = sorted(state.added)
     rng.shuffle(candidates)
     for eid in candidates:
         u, v = state.graph.endpoints(eid)
-        if not oracle.reached(u) and not oracle.reached(v):
+        if dist[u] < 0 and dist[v] < 0:
             return (u, v) if state.graph.is_left(u) else (v, u)
     raise InternalInvariantError(
         f"no swap edge among {len(state.added)} added edges is distant from "
@@ -264,7 +262,8 @@ def apply_swap(state: AugmentState, x_l: int, y_l: int, x_h: int, y_h: int) -> N
             f"({x_h}, {y_h}) for ({x_l}, {y_h}) and ({y_l}, {x_h})"
         )
     state._raise_low(x_l, y_l)
-    assert graph.degree(x_h) == state.k and graph.degree(y_h) == state.k
+    if graph.degree(x_h) != state.k or graph.degree(y_h) != state.k:
+        raise InternalInvariantError(f"swap changed the degree of ({x_h}, {y_h})")
 
 
 def augment_to_degree(

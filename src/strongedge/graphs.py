@@ -1,5 +1,5 @@
 """Simple graphs with stable edge identities and the derived structures the
-rest of the package is built on: truncated distance oracles, girth
+rest of the package is built on: truncated BFS distances, girth
 computation, and the edge-conflict graph on which strong colorings live.
 
 Vertices are dense 0-based indices.  A :class:`BipartiteGraph` keeps its left
@@ -17,7 +17,7 @@ import math
 from collections import deque
 from typing import Iterable, Iterator
 
-from .errors import DuplicateEdgeError, InvalidEdgeError
+from .errors import DuplicateEdgeError, InternalInvariantError, InvalidEdgeError
 
 INFINITE_GIRTH = math.inf
 
@@ -34,9 +34,7 @@ class SimpleGraph:
     """Mutable simple undirected graph on vertices ``0..n_vertices-1``.
 
     Self-loops and parallel edges are rejected at insertion time, so
-    simplicity can never silently break.  Construction is single-writer;
-    once built (or after :meth:`compact`) instances are treated as immutable
-    values and are safe to share across threads.
+    simplicity can never silently break.
     """
 
     def __init__(self, n_vertices: int):
@@ -170,17 +168,23 @@ class SimpleGraph:
             raise ValueError(f"vertex {v} out of range [0, {self.n_vertices})")
 
     def check_consistent(self) -> None:
-        """Assert the adjacency and edge list agree (used by audits/tests)."""
+        """Check that the adjacency and edge list agree (used by audits/tests).
+
+        Raises :class:`InternalInvariantError` naming the first mismatch.
+        """
         count = 0
         for eid, pair in enumerate(self._endpoints):
             if pair is None:
                 continue
             count += 1
             u, v = pair
-            assert (v, eid) in self._adj[u], f"edge {eid} missing from adj[{u}]"
-            assert (u, eid) in self._adj[v], f"edge {eid} missing from adj[{v}]"
-        assert count == self._n_live
-        assert sum(len(a) for a in self._adj) == 2 * self._n_live
+            for a, b in ((u, v), (v, u)):
+                if (b, eid) not in self._adj[a]:
+                    raise InternalInvariantError(f"edge {eid} missing from adj[{a}]")
+        if count != self._n_live:
+            raise InternalInvariantError(f"{count} live edges, counter says {self._n_live}")
+        if sum(len(a) for a in self._adj) != 2 * self._n_live:
+            raise InternalInvariantError("adjacency lists and live edge count disagree")
 
 
 class BipartiteGraph(SimpleGraph):
@@ -218,12 +222,6 @@ class BipartiteGraph(SimpleGraph):
             raise ValueError(f"right index {y} out of range [0, {self.n_right})")
         return self.n_left + y
 
-    def left_vertices(self) -> range:
-        return range(self.n_left)
-
-    def right_vertices(self) -> range:
-        return range(self.n_left, self.n_vertices)
-
     def is_left(self, v: int) -> bool:
         self._check_vertex(v)
         return v < self.n_left
@@ -235,35 +233,13 @@ class BipartiteGraph(SimpleGraph):
         return g
 
 
-class DistanceOracle:
-    """Exact hop distances from a source set, truncated at a cutoff depth.
-
-    Distances are exact up to the cutoff; any vertex not reached is at
-    distance >= cutoff + 1 and reports ``dist(v) is None``.
-    """
-
-    def __init__(self, sources: frozenset[int], cutoff: int, dist: list[int]):
-        self.sources = sources
-        self.cutoff = cutoff
-        self._dist = dist
-
-    def dist(self, v: int) -> int | None:
-        d = self._dist[v]
-        return None if d < 0 else d
-
-    def reached(self, v: int) -> bool:
-        return self._dist[v] >= 0
-
-    def ball(self) -> set[int]:
-        """All vertices within the cutoff of the source set."""
-        return {v for v, d in enumerate(self._dist) if d >= 0}
-
-
-def distances_from(g: SimpleGraph, sources: Iterable[int], cutoff: int) -> DistanceOracle:
+def distances_from(g: SimpleGraph, sources: Iterable[int], cutoff: int) -> list[int]:
     """Multi-source BFS truncated at ``cutoff`` hops.
 
-    The distance of a vertex is the minimum over all sources, following the
-    usual set-to-set distance convention.
+    Returns the hop distance of every vertex, indexed by vertex, with -1 for
+    vertices beyond the cutoff (at distance >= cutoff + 1).  The distance of
+    a vertex is the minimum over all sources, following the usual
+    set-to-set distance convention.
     """
     src = frozenset(sources)
     if not src:
@@ -285,7 +261,7 @@ def distances_from(g: SimpleGraph, sources: Iterable[int], cutoff: int) -> Dista
             if dist[w] < 0:
                 dist[w] = du + 1
                 queue.append(w)
-    return DistanceOracle(src, cutoff, dist)
+    return dist
 
 
 def girth(g: SimpleGraph) -> int | float:

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,7 +20,7 @@ from .bounds import CountingCertificate, counting_certificate
 from .dimacs import load_dimacs, serialize_dimacs
 from .errors import VerificationError
 from .generator import choose_n, generate, min_n
-from .graphs import BipartiteGraph, SimpleGraph, conflict_graph, girth
+from .graphs import SimpleGraph, conflict_graph, girth
 from .solver import greedy_color, min_last_color_usage
 
 
@@ -121,17 +119,6 @@ def canonical_json(obj: dict) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def worker_count() -> int:
-    """Worker cap from STRONGEDGE_THREADS; 0 or unset means auto."""
-    raw = os.environ.get("STRONGEDGE_THREADS", "").strip()
-    if not raw or raw == "0":
-        return os.cpu_count() or 1
-    value = int(raw)
-    if value < 1:
-        raise ValueError(f"STRONGEDGE_THREADS must be >= 0, got {raw}")
-    return value
-
-
 def _check(name: str, condition: bool, detail: str) -> None:
     if not condition:
         raise VerificationError(name, detail)
@@ -195,19 +182,10 @@ def _bipartition_of(graph: SimpleGraph) -> tuple[set[int], set[int]]:
 
 
 def _verify_bipartite(graph: SimpleGraph) -> int:
-    """Check bipartiteness from scratch and return the half vertex count."""
-    if isinstance(graph, BipartiteGraph):
-        _check(
-            "bipartite",
-            all(graph.is_left(u) != graph.is_left(v) for u, v in graph.edges()),
-            "an edge fails to cross the declared bipartition",
-        )
-        _check(
-            "balanced-sides",
-            graph.n_left == graph.n_right,
-            f"sides are ({graph.n_left}, {graph.n_right})",
-        )
-        return graph.n_left
+    """Check bipartiteness from scratch and return the half vertex count.
+
+    Any declared bipartition is ignored: the sides are re-derived by BFS.
+    """
     left, right = _bipartition_of(graph)
     _check(
         "balanced-sides",
@@ -328,43 +306,35 @@ def conjecture2_sweep(
     budget_ms: int | None = None,
     node_budget: int | None = None,
     force: bool = False,
-    max_workers: int | None = None,
 ) -> Conjecture2Evidence:
     """Measure minimal last-color usage against the cap m mod (2k-1) on
     ``count`` generated instances.
 
     Instance i uses side size n_start + i (default floor: min_n) and seed
-    seed + i, so caps vary across the sweep.  Instances run independently
-    and the row order is fixed by n, so aggregation is order-insensitive.
+    seed + i, so caps vary across the sweep.  Rows are computed one after
+    another in n order.
     """
     if count < 1:
         raise ValueError(f"instance count must be >= 1, got {count}")
     base_n = min_n(k, g) if n_start is None else n_start
-    params = [(base_n + i, seed + i) for i in range(count)]
-
-    def run_one(param: tuple[int, int]) -> Conjecture2Row:
-        n, inst_seed = param
+    rows = []
+    for i in range(count):
+        n, inst_seed = base_n + i, seed + i
         graph, _ = generate(k, g, n, inst_seed, force=force)
         m = graph.n_edges
         result = min_last_color_usage(
             conflict_graph(graph), k, budget_ms=budget_ms, node_budget=node_budget
         )
-        return Conjecture2Row(
-            k=k,
-            g=g,
-            n=n,
-            seed=inst_seed,
-            m=m,
-            cap=m % (2 * k - 1),
-            usage=result.usage,
-            status=result.status,
+        rows.append(
+            Conjecture2Row(
+                k=k,
+                g=g,
+                n=n,
+                seed=inst_seed,
+                m=m,
+                cap=m % (2 * k - 1),
+                usage=result.usage,
+                status=result.status,
+            )
         )
-
-    workers = max_workers if max_workers is not None else worker_count()
-    if workers <= 1 or count == 1:
-        rows = [run_one(p) for p in params]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(run_one, params))
-    rows.sort(key=lambda r: r.n)
     return Conjecture2Evidence(k=k, g=g, rows=tuple(rows))

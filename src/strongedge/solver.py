@@ -11,10 +11,10 @@ with a node-count alternative for reproducible CI.
 
 from __future__ import annotations
 
-import random
 import time
 from dataclasses import dataclass
 
+from .errors import InternalInvariantError
 from .graphs import ConflictGraph, conflict_graph, iter_bits
 
 FOUND = "found"
@@ -131,51 +131,31 @@ def verify(g, phi: StrongColoring) -> bool:
     return ok
 
 
-def greedy_color(
-    cg: ConflictGraph, order: str = "saturation", seed: int | None = None
-) -> StrongColoring:
-    """Greedy first-fit coloring; always valid, an upper bound on chi'_s.
+def greedy_color(cg: ConflictGraph) -> StrongColoring:
+    """Saturation greedy first-fit coloring; always valid, an upper bound on
+    chi'_s.
 
-    Order policies: ``saturation`` (most distinct neighbor colors first,
-    ties by conflict degree then lowest index), ``index`` (static order),
-    ``random`` (seeded shuffle of the static order).
+    Colors next the node with the most distinct neighbor colors, ties by
+    conflict degree then lowest index, giving it the lowest free color.
     """
     m = cg.n_nodes
     colors = [0] * m
-    forbid = [0] * m  # bit j set: color j+1 unusable
-
-    def assign(v: int) -> None:
+    # bit j set: color j+1 is on a neighbor, so unusable; the popcount is
+    # the node's saturation
+    forbid = [0] * m
+    uncolored = set(range(m))
+    while uncolored:
+        v = max(uncolored, key=lambda u: (forbid[u].bit_count(), cg.degrees[u], -u))
         free = ~forbid[v]
-        c = (free & -free).bit_length()  # lowest clear bit, 1-based color
-        colors[v] = c
-        bit = 1 << (c - 1)
+        bit = free & -free  # lowest clear bit
+        colors[v] = bit.bit_length()
         for w in iter_bits(cg.adj[v]):
             forbid[w] |= bit
-
-    if order == "saturation":
-        sat_mask = [0] * m
-        uncolored = set(range(m))
-        while uncolored:
-            v = max(
-                uncolored,
-                key=lambda u: (sat_mask[u].bit_count(), cg.degrees[u], -u),
-            )
-            assign(v)
-            bit = 1 << (colors[v] - 1)
-            for w in iter_bits(cg.adj[v]):
-                sat_mask[w] |= bit
-            uncolored.remove(v)
-    elif order in ("index", "random"):
-        sequence = list(range(m))
-        if order == "random":
-            random.Random(seed).shuffle(sequence)
-        for v in sequence:
-            assign(v)
-    else:
-        raise ValueError(f"unknown order policy {order!r}")
+        uncolored.remove(v)
 
     phi = StrongColoring(colors)
-    assert verify(cg, phi), "greedy produced an invalid coloring"
+    if not verify(cg, phi):
+        raise InternalInvariantError("greedy produced an invalid coloring")
     return phi
 
 
@@ -274,7 +254,8 @@ def _decision_search(
     spent = budget.nodes - start_nodes
     if status == FOUND:
         phi = StrongColoring(solution)
-        assert verify(cg, phi), "search produced an invalid coloring"
+        if not verify(cg, phi):
+            raise InternalInvariantError("search produced an invalid coloring")
         return SearchResult(FOUND, phi, spent)
     return SearchResult(status, None, spent)
 
@@ -443,7 +424,10 @@ def min_last_color_usage(
         res = _decision_search(cg, palette, t, budget)
         if res.status == FOUND:
             usage = res.coloring.usage(palette)
-            assert usage == t, "caps below t were already refuted"
+            if usage != t:
+                raise InternalInvariantError(
+                    f"usage {usage} found under cap {t}; caps below {t} were already refuted"
+                )
             return MinLastUsageResult("exact", usage, res.coloring, budget.nodes)
         if res.status == TIMEOUT:
             return MinLastUsageResult("best-found", best_usage, best, budget.nodes)

@@ -11,7 +11,7 @@ import math
 import random
 from collections import deque
 
-from strongedge import BipartiteGraph, SimpleGraph
+from strongedge import BipartiteGraph, SimpleGraph, StrongColoring
 
 
 def cycle_graph(n: int) -> SimpleGraph:
@@ -69,6 +69,16 @@ def random_simple_graph(rng: random.Random, max_vertices: int = 10, max_edges: i
     for u, v in pairs[: rng.randint(0, min(max_edges, len(pairs)))]:
         g.add_edge(u, v)
     return g
+
+
+def first_fit(cg, order) -> StrongColoring:
+    """Reference coloring: each node in ``order`` takes the lowest color no
+    conflict neighbor has yet.  Gives colorings unlike the saturation greedy."""
+    colors = [0] * cg.n_nodes
+    for v in order:
+        taken = {colors[w] for w in cg.neighbors(v)}
+        colors[v] = min(c for c in range(1, len(taken) + 2) if c not in taken)
+    return StrongColoring(colors)
 
 
 def brute_girth(g: SimpleGraph) -> int | float:

@@ -31,6 +31,7 @@ from strongedge import (
 from _helpers import (
     complete_bipartite,
     cycle_graph,
+    first_fit,
     heawood_graph,
     path_graph,
     random_simple_graph,
@@ -144,10 +145,12 @@ def test_criterion_3_window_identity():
     ]
     for graph, k in corpus:
         cg = conflict_graph(graph)
+        shuffled = list(range(cg.n_nodes))
+        random.Random(13).shuffle(shuffled)
         colorings = [
-            greedy_color(cg, "saturation"),
-            greedy_color(cg, "index"),
-            greedy_color(cg, "random", seed=13),
+            greedy_color(cg),
+            first_fit(cg, range(cg.n_nodes)),
+            first_fit(cg, shuffled),
         ]
         if cg.n_nodes <= 30:
             outcome = exact_chi_s(cg)

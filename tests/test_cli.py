@@ -1,8 +1,11 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
-from strongedge import girth, load_dimacs, save_dimacs
+import strongedge
+from strongedge import generate, girth, load_dimacs, save_dimacs
 from strongedge.cli import main
 from _helpers import bipartite_cycle, cycle_graph, heawood_graph
 
@@ -199,6 +202,27 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert out.exists()
+
+    def test_greedy_coloring_identical_under_optimize(self, tmp_path):
+        # python -O strips assert statements; the coloring file, its
+        # "verified" flag included, must not depend on them.
+        graph, _ = generate(3, 5, 48, seed=0)
+        save_dimacs(tmp_path / "g.dimacs", graph)
+        env = {**os.environ, "PYTHONPATH": str(Path(strongedge.__file__).parents[1])}
+        outputs = []
+        for flags in ([], ["-O"]):
+            out = tmp_path / f"c{len(outputs)}.json"
+            proc = subprocess.run(
+                [sys.executable, *flags, "-m", "strongedge", "solve", "--greedy",
+                 str(tmp_path / "g.dimacs"), "-o", str(out)],
+                capture_output=True,
+                text=True,
+                env=env,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(out.read_bytes())
+        assert json.loads(outputs[0])["verified"] is True
+        assert outputs[1] == outputs[0]
 
     def test_usage_error_exits_2(self):
         proc = subprocess.run(

@@ -162,8 +162,7 @@ class TestRemoval:
 class TestDistances:
     def test_cycle_antipode(self):
         g = cycle_graph(10)
-        oracle = distances_from(g, [0], 10)
-        assert oracle.dist(5) == 5
+        assert distances_from(g, [0], 10)[5] == 5
 
     def test_set_distance_is_min_over_sources(self):
         g = cycle_graph(10)
@@ -171,20 +170,19 @@ class TestDistances:
         from_0 = distances_from(g, [0], 10)
         from_1 = distances_from(g, [1], 10)
         for v in range(10):
-            assert both.dist(v) == min(from_0.dist(v), from_1.dist(v))
+            assert both[v] == min(from_0[v], from_1[v])
 
     def test_heawood_eccentricity_at_most_3(self):
         g = heawood_graph()
         for v in range(g.n_vertices):
-            oracle = distances_from(g, [v], 3)
-            assert len(oracle.ball()) == 14
+            dist = distances_from(g, [v], 3)
+            assert all(d >= 0 for d in dist)
 
     def test_cutoff_semantics(self):
         g = cycle_graph(10)
-        oracle = distances_from(g, [0], 2)
-        assert oracle.dist(2) == 2
-        assert oracle.dist(3) is None
-        assert not oracle.reached(3)
+        dist = distances_from(g, [0], 2)
+        assert dist[2] == 2
+        assert dist[3] == -1  # beyond the cutoff
 
     def test_empty_sources_rejected(self):
         with pytest.raises(ValueError):
@@ -321,11 +319,11 @@ class TestProperties:
         full = distances_from(g, [0], g.n_vertices + 1)
         trunc = distances_from(g, [0], cutoff)
         for v in range(g.n_vertices):
-            d = full.dist(v)
-            if d is not None and d <= cutoff:
-                assert trunc.dist(v) == d
+            d = full[v]
+            if 0 <= d <= cutoff:
+                assert trunc[v] == d
             else:
-                assert trunc.dist(v) is None
+                assert trunc[v] == -1
 
     def test_regularity_edge_count(self):
         # k-regular on 2n vertices has k*n edges

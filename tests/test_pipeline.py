@@ -13,7 +13,7 @@ from strongedge import (
     save_dimacs,
     serialize_dimacs,
 )
-from strongedge.pipeline import canonical_json, worker_count
+from strongedge.pipeline import canonical_json
 from _helpers import bipartite_cycle, complete_bipartite, cycle_graph, heawood_graph
 
 
@@ -168,30 +168,7 @@ class TestSweep:
             "k", "g", "n", "seed", "m", "cap", "usage", "status", "flagged",
         }
 
-    def test_parallel_equals_serial(self):
-        serial = conjecture2_sweep(2, 4, 4, seed=5, max_workers=1)
-        parallel = conjecture2_sweep(2, 4, 4, seed=5, max_workers=4)
-        assert serial == parallel
-
     def test_count_validation(self):
         with pytest.raises(ValueError):
             conjecture2_sweep(2, 4, 0)
 
-
-class TestWorkerCount:
-    def test_auto_when_unset(self, monkeypatch):
-        monkeypatch.delenv("STRONGEDGE_THREADS", raising=False)
-        assert worker_count() >= 1
-
-    def test_zero_means_auto(self, monkeypatch):
-        monkeypatch.setenv("STRONGEDGE_THREADS", "0")
-        assert worker_count() >= 1
-
-    def test_explicit_value(self, monkeypatch):
-        monkeypatch.setenv("STRONGEDGE_THREADS", "3")
-        assert worker_count() == 3
-
-    def test_garbage_rejected(self, monkeypatch):
-        monkeypatch.setenv("STRONGEDGE_THREADS", "many")
-        with pytest.raises(ValueError):
-            worker_count()

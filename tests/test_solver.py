@@ -77,7 +77,7 @@ class TestGreedy:
 
     def test_c8_saturation_at_most_five(self):
         cg = conflict_graph(cycle_graph(8))
-        phi = greedy_color(cg, order="saturation")
+        phi = greedy_color(cg)
         assert phi.verified
         assert phi.n_colors <= 5
 
@@ -89,22 +89,11 @@ class TestGreedy:
         assert phi.n_colors == 0
         assert phi.colors == []
 
-    @pytest.mark.parametrize("order", ["saturation", "index", "random"])
-    def test_policies_always_valid(self, order):
+    def test_always_valid(self):
         for g in [cycle_graph(9), heawood_graph(), star_graph(5)]:
             cg = conflict_graph(g)
-            phi = greedy_color(cg, order=order, seed=3)
+            phi = greedy_color(cg)
             assert verify(cg, phi)
-
-    def test_random_policy_seed_deterministic(self):
-        cg = conflict_graph(heawood_graph())
-        a = greedy_color(cg, order="random", seed=11)
-        b = greedy_color(cg, order="random", seed=11)
-        assert a.colors == b.colors
-
-    def test_unknown_policy(self):
-        with pytest.raises(ValueError):
-            greedy_color(conflict_graph(cycle_graph(4)), order="mystery")
 
 
 class TestBruteForce:
