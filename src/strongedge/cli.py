@@ -69,9 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="compute the strong chromatic index of a graph")
     p.add_argument("graph", type=Path)
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--exact", action="store_true", default=True)
-    mode.add_argument("--greedy", action="store_true")
+    p.add_argument("--greedy", action="store_true", help="saturation greedy instead of exact search")
     p.add_argument("--budget-ms", type=int, default=None)
     p.add_argument("--node-budget", type=int, default=None)
     p.add_argument("-o", "--output", type=Path, default=None, help="write the coloring (JSON)")
@@ -190,7 +188,7 @@ def _cmd_verify(args) -> int:
     graph = load_dimacs(args.graph)
     data = json.loads(args.coloring.read_text())
     phi = _coloring_from_json(graph, data)
-    if verify(graph, phi):
+    if verify(conflict_graph(graph), phi):
         print(f"VALID: {phi.n_colors} colors on {len(phi.colors)} edges")
         return EXIT_OK
     print("INVALID: conflicting edges share a color")

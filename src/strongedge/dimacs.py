@@ -106,7 +106,7 @@ def parse_dimacs(text: str) -> SimpleGraph | BipartiteGraph:
                 raise DimacsParseError(
                     f"edge ({u}, {v}) does not cross the bipartition", line_no
                 )
-            _checked_add(bg, line_no, lo - 1, hi - a - 1)
+            _checked_add(bg, line_no, lo - 1, hi - 1)
         return bg
 
     g = SimpleGraph(n_vertices)

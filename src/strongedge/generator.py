@@ -62,8 +62,8 @@ def base_cycle(n: int) -> BipartiteGraph:
         raise ValueError(f"cycle half-length must be >= 2, got {n}")
     g = BipartiteGraph(n, n)
     for i in range(n):
-        g.add_edge(i, i)
-        g.add_edge((i + 1) % n, i)
+        g.add_edge(i, n + i)
+        g.add_edge((i + 1) % n, n + i)
     return g
 
 
@@ -120,8 +120,8 @@ class GeneratorTrace:
 class AugmentState:
     """Bookkeeping for one degree-raising level.
 
-    ``added`` holds the edge ids of A; the four vertex sets partition each
-    side by current degree (k-1 = low, k = high) and satisfy
+    ``added`` holds the edge ids of A; ``x_low`` and ``y_low`` hold the
+    vertices of each side still at degree k-1 and satisfy
     |x_low| == |y_low| throughout.
     """
 
@@ -130,9 +130,7 @@ class AugmentState:
     girth_target: int
     added: set[int] = field(default_factory=set)
     x_low: set[int] = field(default_factory=set)
-    x_high: set[int] = field(default_factory=set)
     y_low: set[int] = field(default_factory=set)
-    y_high: set[int] = field(default_factory=set)
 
     @classmethod
     def from_graph(cls, graph: BipartiteGraph, k: int, girth_target: int) -> "AugmentState":
@@ -141,9 +139,7 @@ class AugmentState:
             d = graph.degree(v)
             if d == k - 1:
                 (state.x_low if graph.is_left(v) else state.y_low).add(v)
-            elif d == k:
-                (state.x_high if graph.is_left(v) else state.y_high).add(v)
-            else:
+            elif d != k:
                 raise ValueError(
                     f"vertex {v} has degree {d}; expected {k - 1} or {k}"
                 )
@@ -154,15 +150,9 @@ class AugmentState:
             )
         return state
 
-    def _add_cross(self, u: int, v: int) -> int:
-        x, y = (u, v) if self.graph.is_left(u) else (v, u)
-        return self.graph.add_edge(x, y - self.graph.n_left)
-
     def _raise_low(self, x: int, y: int) -> None:
         self.x_low.remove(x)
-        self.x_high.add(x)
         self.y_low.remove(y)
-        self.y_high.add(y)
 
 
 def _edge_keeps_girth(graph: BipartiteGraph, eid: int, girth_target: int) -> bool:
@@ -251,8 +241,8 @@ def apply_swap(state: AugmentState, x_l: int, y_l: int, x_h: int, y_h: int) -> N
         raise ValueError(f"({x_h}, {y_h}) is not a currently added edge")
     graph.remove_edge(eid)
     state.added.discard(eid)
-    e1 = state._add_cross(x_l, y_h)
-    e2 = state._add_cross(y_l, x_h)
+    e1 = graph.add_edge(x_l, y_h)
+    e2 = graph.add_edge(y_l, x_h)
     state.added.update((e1, e2))
     if not _edge_keeps_girth(graph, e1, state.girth_target) or not _edge_keeps_girth(
         graph, e2, state.girth_target
@@ -309,7 +299,7 @@ def augment_to_degree(
         pair = find_distant_low_pair(state, rng)
         if pair is not None:
             x_l, y_l = pair
-            eid = state._add_cross(x_l, y_l)
+            eid = state.graph.add_edge(x_l, y_l)
             state.added.add(eid)
             state._raise_low(x_l, y_l)
             steps.append(AddStep(x_l, y_l))
@@ -370,17 +360,18 @@ def generate(
 def replay_trace(trace: GeneratorTrace) -> BipartiteGraph:
     """Re-apply a trace from the base cycle, re-checking every step.
 
-    Asserts after each step that the maximum degree stays at most k and
-    that every newly added edge lies on no cycle shorter than g; combined
-    with the base cycle's girth this certifies girth >= g at every
-    intermediate state.  Returns the reconstructed graph.
+    Checks after each step that the maximum degree stays at most k and
+    that every newly added edge lies on no cycle shorter than g, raising
+    :class:`InternalInvariantError` on the first violation; combined with
+    the base cycle's girth this certifies girth >= g at every intermediate
+    state.  Returns the reconstructed graph.
     """
     graph = base_cycle(trace.n)
     if 2 * trace.n < trace.g:
         raise InternalInvariantError("base cycle shorter than the girth target")
     for idx, step in enumerate(trace.steps):
         if isinstance(step, AddStep):
-            new_edges = [_replay_add(graph, step.x, step.y)]
+            new_edges = [graph.add_edge(step.x, step.y)]
         else:
             eid = graph.edge_id(step.x_high, step.y_high)
             if eid is None:
@@ -389,7 +380,7 @@ def replay_trace(trace: GeneratorTrace) -> BipartiteGraph:
                     f"({step.x_high}, {step.y_high})"
                 )
             graph.remove_edge(eid)
-            new_edges = [_replay_add(graph, a, b) for a, b in step.added]
+            new_edges = [graph.add_edge(a, b) for a, b in step.added]
         for eid in new_edges:
             if not _edge_keeps_girth(graph, eid, trace.g):
                 raise InternalInvariantError(
@@ -403,8 +394,3 @@ def replay_trace(trace: GeneratorTrace) -> BipartiteGraph:
     if girth(graph) < trace.g:
         raise InternalInvariantError("replayed graph has girth below the target")
     return graph
-
-
-def _replay_add(graph: BipartiteGraph, u: int, v: int) -> int:
-    x, y = (u, v) if graph.is_left(u) else (v, u)
-    return graph.add_edge(x, y - graph.n_left)

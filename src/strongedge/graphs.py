@@ -121,10 +121,6 @@ class SimpleGraph:
         """Number of live (non-tombstoned) edges."""
         return self._n_live
 
-    @property
-    def has_tombstones(self) -> bool:
-        return self._n_live != len(self._endpoints)
-
     def endpoints(self, eid: int) -> tuple[int, int]:
         if not 0 <= eid < len(self._endpoints):
             raise InvalidEdgeError(f"edge id {eid} out of range")
@@ -136,9 +132,6 @@ class SimpleGraph:
     def edge_id(self, u: int, v: int) -> int | None:
         """Return the id of edge ``{u, v}`` or None if absent."""
         return self._pair_to_eid.get((u, v) if u < v else (v, u))
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return self.edge_id(u, v) is not None
 
     def edge_ids(self) -> list[int]:
         """Live edge ids in ascending order."""
@@ -191,9 +184,7 @@ class BipartiteGraph(SimpleGraph):
     """Simple graph with an explicit two-sided vertex partition.
 
     Bipartiteness is structural: every edge joins a left vertex to a right
-    vertex, enforced at insertion.  Note that :meth:`add_edge` takes
-    *side-local* indices (``x`` within the left side, ``y`` within the right
-    side), unlike the global-index signature of :class:`SimpleGraph`.
+    vertex, enforced at insertion.
     """
 
     def __init__(self, n_left: int, n_right: int):
@@ -205,22 +196,15 @@ class BipartiteGraph(SimpleGraph):
         self.n_left = n_left
         self.n_right = n_right
 
-    def add_edge(self, x: int, y: int) -> int:  # type: ignore[override]
-        """Insert the edge joining left vertex ``x`` to right vertex ``y``.
+    def add_edge(self, u: int, v: int) -> int:
+        """Insert the edge joining global vertices ``u`` and ``v``, which must
+        lie on opposite sides, and return its id.
 
-        Both indices are side-local and 0-based.
+        The endpoints are stored left first.
         """
-        if not 0 <= x < self.n_left:
-            raise ValueError(f"left index {x} out of range [0, {self.n_left})")
-        if not 0 <= y < self.n_right:
-            raise ValueError(f"right index {y} out of range [0, {self.n_right})")
-        return self._insert(x, self.n_left + y)
-
-    def right(self, y: int) -> int:
-        """Global vertex id of right-side vertex ``y``."""
-        if not 0 <= y < self.n_right:
-            raise ValueError(f"right index {y} out of range [0, {self.n_right})")
-        return self.n_left + y
+        if self.is_left(u) == self.is_left(v):
+            raise ValueError(f"vertices {u} and {v} are on the same side")
+        return self._insert(u, v) if u < v else self._insert(v, u)
 
     def is_left(self, v: int) -> bool:
         self._check_vertex(v)
@@ -314,10 +298,11 @@ def closed_edge_neighborhood(g: SimpleGraph, eid: int) -> set[int]:
 class ConflictGraph:
     """The strong-coloring conflict structure of a graph.
 
-    One node per live edge (in edge-id order); two nodes are adjacent exactly
-    when the edges share an endpoint or some edge joins an endpoint of one to
-    an endpoint of the other.  Strong edge-colorings of the source graph are
-    precisely the proper vertex colorings of this graph.
+    One node per live edge (in edge-id order), with ``endpoints[i]`` the
+    edge's vertex pair; two nodes are adjacent exactly when the edges share
+    an endpoint or some edge joins an endpoint of one to an endpoint of the
+    other.  Strong edge-colorings of the source graph are precisely the
+    proper vertex colorings of this graph.
 
     Adjacency is stored as one bit row per node (bit ``j`` of ``adj[i]`` set
     iff nodes i and j conflict); the solver's hot loop is bitwise
@@ -326,33 +311,17 @@ class ConflictGraph:
 
     def __init__(
         self,
-        n_nodes: int,
-        edge_ids: tuple[int, ...],
         endpoints: tuple[tuple[int, int], ...],
         adj: list[int],
-        shared_endpoint_adj: list[int],
         degrees: tuple[int, ...],
     ):
-        self.n_nodes = n_nodes
-        self.edge_ids = edge_ids
         self.endpoints = endpoints
         self.adj = adj
-        self.shared_endpoint_adj = shared_endpoint_adj
         self.degrees = degrees
 
-    def adjacent(self, i: int, j: int) -> bool:
-        return bool(self.adj[i] >> j & 1)
-
-    def neighbors(self, i: int) -> Iterator[int]:
-        return iter_bits(self.adj[i])
-
-    def degree(self, i: int) -> int:
-        return self.degrees[i]
-
-    def closed_clique_mask(self, i: int) -> int:
-        """Bitmask of the clique formed by node ``i`` and every node whose
-        edge shares an endpoint with i's edge."""
-        return self.shared_endpoint_adj[i] | (1 << i)
+    @property
+    def n_nodes(self) -> int:
+        return len(self.adj)
 
 
 def conflict_graph(g: SimpleGraph) -> ConflictGraph:
@@ -360,28 +329,19 @@ def conflict_graph(g: SimpleGraph) -> ConflictGraph:
 
     Adjacency is symmetric and irreflexive by construction.
     """
-    eids = g.edge_ids()
-    m = len(eids)
+    endpoints = tuple(g.edges())
     incident = [0] * g.n_vertices
-    for i, e in enumerate(eids):
-        u, v = g.endpoints(e)
+    for i, (u, v) in enumerate(endpoints):
         incident[u] |= 1 << i
         incident[v] |= 1 << i
     adj: list[int] = []
-    shared: list[int] = []
-    endpoints: list[tuple[int, int]] = []
-    for i, e in enumerate(eids):
-        u, v = g.endpoints(e)
-        self_bit = 1 << i
-        share = (incident[u] | incident[v]) & ~self_bit
-        mask = share
+    for i, (u, v) in enumerate(endpoints):
+        # u and v are neighbors of each other, so this covers the edges
+        # sharing an endpoint as well as those joined by an edge.
+        mask = 0
         for w, _ in g._adj[u]:
             mask |= incident[w]
         for w, _ in g._adj[v]:
             mask |= incident[w]
-        mask &= ~self_bit
-        adj.append(mask)
-        shared.append(share)
-        endpoints.append((u, v))
-    degrees = tuple(a.bit_count() for a in adj)
-    return ConflictGraph(m, tuple(eids), tuple(endpoints), adj, shared, degrees)
+        adj.append(mask & ~(1 << i))
+    return ConflictGraph(endpoints, adj, tuple(a.bit_count() for a in adj))

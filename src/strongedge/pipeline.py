@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .bounds import CountingCertificate, counting_certificate
 from .dimacs import load_dimacs, serialize_dimacs
-from .errors import VerificationError
+from .errors import NotRegularError, VerificationError
 from .generator import choose_n, generate, min_n
 from .graphs import SimpleGraph, conflict_graph, girth
 from .solver import greedy_color, min_last_color_usage
@@ -132,8 +132,10 @@ def _recompute_checks(
     Returns (girth, m, certificate); raises :class:`VerificationError`
     naming the first failing check.
     """
-    degs = graph.degrees()
-    _check("regularity", all(d == k for d in degs), f"degrees are not all {k}")
+    try:
+        cert = counting_certificate(graph, k)
+    except NotRegularError as exc:
+        raise VerificationError("regularity", str(exc)) from None
     edges = graph.edges()
     normalized = {(u, v) if u < v else (v, u) for u, v in edges}
     _check(
@@ -141,7 +143,6 @@ def _recompute_checks(
         len(normalized) == len(edges) and all(u != v for u, v in edges),
         "duplicate edge or self-loop found",
     )
-    m = len(edges)
     girth_value = girth(graph)
     if girth_floor is not None:
         _check(
@@ -149,18 +150,20 @@ def _recompute_checks(
             girth_value >= girth_floor,
             f"measured girth {girth_value} is below the floor {girth_floor}",
         )
-    window = 2 * k - 1
     _check(
         "divisibility",
-        m % window != 0,
-        f"edge count {m} is divisible by {window}; no lower-bound certificate",
+        not cert.divisible,
+        f"edge count {cert.m} is divisible by {cert.window}; no lower-bound certificate",
     )
-    cert = counting_certificate(graph, k)
-    return int(girth_value), m, cert
+    return int(girth_value), cert.m, cert
 
 
-def _bipartition_of(graph: SimpleGraph) -> tuple[set[int], set[int]]:
-    """Two-color the graph by BFS; VerificationError on an odd cycle."""
+def _verify_bipartite(graph: SimpleGraph) -> int:
+    """Check bipartiteness from scratch and return the half vertex count.
+
+    Any declared bipartition is ignored: the sides are re-derived by
+    2-coloring the graph.
+    """
     side = [-1] * graph.n_vertices
     for start in range(graph.n_vertices):
         if side[start] >= 0:
@@ -177,30 +180,18 @@ def _bipartition_of(graph: SimpleGraph) -> tuple[set[int], set[int]]:
                     raise VerificationError(
                         "bipartite", f"odd cycle through vertices {u} and {w}"
                     )
-    left = {v for v, s in enumerate(side) if s == 0}
-    return left, set(range(graph.n_vertices)) - left
+    n_left = side.count(0)
+    n_right = graph.n_vertices - n_left
+    _check("balanced-sides", n_left == n_right, f"sides are ({n_left}, {n_right})")
+    return n_left
 
 
-def _verify_bipartite(graph: SimpleGraph) -> int:
-    """Check bipartiteness from scratch and return the half vertex count.
-
-    Any declared bipartition is ignored: the sides are re-derived by BFS.
-    """
-    left, right = _bipartition_of(graph)
-    _check(
-        "balanced-sides",
-        len(left) == len(right),
-        f"sides are ({len(left)}, {len(right)})",
-    )
-    return len(left)
-
-
-def _conclusion(k: int, g_floor: int, girth_value: int, m: int) -> str:
-    window = 2 * k - 1
+def _conclusion(cert: CountingCertificate, g_floor: int, girth_value: int) -> str:
+    m, window = cert.m, cert.window
     return (
-        f"{k}-regular bipartite, measured girth {girth_value} >= {g_floor}, "
+        f"{cert.k}-regular bipartite, measured girth {girth_value} >= {g_floor}, "
         f"{m} edges with {m} mod {window} = {m % window} != 0, so every strong "
-        f"edge-coloring needs at least {2 * k} colors; this exceeds the "
+        f"edge-coloring needs at least {cert.chi_s_lower} colors; this exceeds the "
         f"conjectured bound of {window} colors at girth >= {g_floor} as "
         f"constructed (no minimality claimed)"
     )
@@ -258,8 +249,8 @@ def build_counterexample(
         girth=girth_value,
         m=m,
         certificate=cert,
-        conjectured_bound=2 * k - 1,
-        conclusion=_conclusion(k, g, girth_value, m),
+        conjectured_bound=cert.window,
+        conclusion=_conclusion(cert, g, girth_value),
         upper_bound=upper,
     )
 
@@ -290,8 +281,8 @@ def certify_graph(path: str | Path, k: int) -> CounterexampleRecord:
         girth=girth_value,
         m=m,
         certificate=cert,
-        conjectured_bound=2 * k - 1,
-        conclusion=_conclusion(k, girth_value, girth_value, m),
+        conjectured_bound=cert.window,
+        conclusion=_conclusion(cert, girth_value, girth_value),
         upper_bound=None,
     )
 

@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass
 
 from .errors import InternalInvariantError
-from .graphs import ConflictGraph, conflict_graph, iter_bits
+from .graphs import ConflictGraph, iter_bits
 
 FOUND = "found"
 EXHAUSTED = "none"
@@ -101,18 +101,12 @@ class _Budget:
         return False
 
 
-def _as_conflict_graph(g) -> ConflictGraph:
-    return g if isinstance(g, ConflictGraph) else conflict_graph(g)
-
-
-def verify(g, phi: StrongColoring) -> bool:
+def verify(cg: ConflictGraph, phi: StrongColoring) -> bool:
     """True iff ``phi`` assigns distinct colors to every conflicting pair.
 
-    ``g`` may be a graph or a prebuilt :class:`ConflictGraph`.  Every edge
-    must carry a positive color; a length mismatch raises ``ValueError``.
-    Sets ``phi.verified`` to the outcome.
+    Every edge must carry a positive color; a length mismatch raises
+    ``ValueError``.  Sets ``phi.verified`` to the outcome.
     """
-    cg = _as_conflict_graph(g)
     if len(phi.colors) != cg.n_nodes:
         raise ValueError(
             f"coloring covers {len(phi.colors)} edges, graph has {cg.n_nodes}"
@@ -282,9 +276,13 @@ def _clique_lower_bound(cg: ConflictGraph) -> int:
     k-regular graph); every one is used as a seed and extended greedily by
     common neighbors, highest conflict degree first.
     """
+    incident: dict[int, int] = {}
+    for i, (u, v) in enumerate(cg.endpoints):
+        incident[u] = incident.get(u, 0) | 1 << i
+        incident[v] = incident.get(v, 0) | 1 << i
     best = 0
-    for i in range(cg.n_nodes):
-        clique = cg.closed_clique_mask(i)
+    for u, v in cg.endpoints:
+        clique = incident[u] | incident[v]
         cand = ~0
         for j in iter_bits(clique):
             cand &= cg.adj[j]
@@ -382,7 +380,7 @@ def brute_force_chi_s(cg: ConflictGraph) -> int:
     for cap in range(1, m + 1):
         if feasible(0, 0, cap):
             return cap
-    raise AssertionError("m distinct colors always suffice")
+    raise InternalInvariantError("m distinct colors always suffice")
 
 
 def min_last_color_usage(

@@ -8,10 +8,14 @@ instead of bit rows) so cross-checks are meaningful.
 from __future__ import annotations
 
 import math
+import os
 import random
 from collections import deque
+from pathlib import Path
 
+import strongedge
 from strongedge import BipartiteGraph, SimpleGraph, StrongColoring
+from strongedge.graphs import iter_bits
 
 
 def cycle_graph(n: int) -> SimpleGraph:
@@ -39,7 +43,7 @@ def complete_bipartite(a: int, b: int) -> BipartiteGraph:
     g = BipartiteGraph(a, b)
     for x in range(a):
         for y in range(b):
-            g.add_edge(x, y)
+            g.add_edge(x, a + y)
     return g
 
 
@@ -47,8 +51,8 @@ def bipartite_cycle(n: int) -> BipartiteGraph:
     """C_{2n} built directly as an n+n bipartition."""
     g = BipartiteGraph(n, n)
     for i in range(n):
-        g.add_edge(i, i)
-        g.add_edge((i + 1) % n, i)
+        g.add_edge(i, n + i)
+        g.add_edge((i + 1) % n, n + i)
     return g
 
 
@@ -57,7 +61,7 @@ def heawood_graph() -> BipartiteGraph:
     g = BipartiteGraph(7, 7)
     for i in range(7):
         for d in (0, 1, 3):
-            g.add_edge(i, (i + d) % 7)
+            g.add_edge(i, 7 + (i + d) % 7)
     return g
 
 
@@ -76,9 +80,17 @@ def first_fit(cg, order) -> StrongColoring:
     conflict neighbor has yet.  Gives colorings unlike the saturation greedy."""
     colors = [0] * cg.n_nodes
     for v in order:
-        taken = {colors[w] for w in cg.neighbors(v)}
+        taken = {colors[w] for w in iter_bits(cg.adj[v])}
         colors[v] = min(c for c in range(1, len(taken) + 2) if c not in taken)
     return StrongColoring(colors)
+
+
+def cli_env() -> dict[str, str]:
+    """Environment for a ``python -m strongedge`` subprocess: the inherited
+    one with ``PYTHONPATH`` set to the ``src/`` directory the tests import
+    from, so the child runs the package under test whether or not it is
+    installed."""
+    return {**os.environ, "PYTHONPATH": str(Path(strongedge.__file__).parents[1])}
 
 
 def brute_girth(g: SimpleGraph) -> int | float:

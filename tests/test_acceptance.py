@@ -29,6 +29,7 @@ from strongedge import (
     verify,
 )
 from _helpers import (
+    cli_env,
     complete_bipartite,
     cycle_graph,
     first_fit,
@@ -60,6 +61,7 @@ def run_cli(*argv):
         [sys.executable, "-m", "strongedge", *map(str, argv)],
         capture_output=True,
         text=True,
+        env=cli_env(),
     )
 
 

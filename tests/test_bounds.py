@@ -84,7 +84,7 @@ class TestAveragingIdentity:
     def test_singleton_class_in_k33(self):
         g = complete_bipartite(3, 3)
         phi = StrongColoring(list(range(1, 10)))  # all distinct
-        assert verify(g, phi)
+        assert verify(conflict_graph(g), phi)
         assert averaging_identity_check(g, phi, 1) == (5, 5)
 
     def test_empty_class(self):

@@ -1,13 +1,10 @@
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
-import strongedge
 from strongedge import generate, girth, load_dimacs, save_dimacs
 from strongedge.cli import main
-from _helpers import bipartite_cycle, cycle_graph, heawood_graph
+from _helpers import bipartite_cycle, cli_env, cycle_graph, heawood_graph
 
 
 def run(*argv):
@@ -151,6 +148,12 @@ class TestCertifyCommand:
         assert run("certify", path, "--k", 2) == 3
         assert "divisibility" in capsys.readouterr().err
 
+    def test_degree_below_two_is_invalid_input(self, tmp_path, capsys):
+        path = tmp_path / "hw.dimacs"
+        save_dimacs(path, heawood_graph())
+        assert run("certify", path, "--k", 1) == 2
+        assert "invalid input" in capsys.readouterr().err
+
 
 class TestConjecture2Commands:
     def test_single_graph_usage(self, tmp_path, capsys):
@@ -199,6 +202,7 @@ class TestEntryPoint:
              "--g", "4", "-o", str(out)],
             capture_output=True,
             text=True,
+            env=cli_env(),
         )
         assert proc.returncode == 0, proc.stderr
         assert out.exists()
@@ -208,7 +212,6 @@ class TestEntryPoint:
         # "verified" flag included, must not depend on them.
         graph, _ = generate(3, 5, 48, seed=0)
         save_dimacs(tmp_path / "g.dimacs", graph)
-        env = {**os.environ, "PYTHONPATH": str(Path(strongedge.__file__).parents[1])}
         outputs = []
         for flags in ([], ["-O"]):
             out = tmp_path / f"c{len(outputs)}.json"
@@ -217,7 +220,7 @@ class TestEntryPoint:
                  str(tmp_path / "g.dimacs"), "-o", str(out)],
                 capture_output=True,
                 text=True,
-                env=env,
+                env=cli_env(),
             )
             assert proc.returncode == 0, proc.stderr
             outputs.append(out.read_bytes())
@@ -228,5 +231,6 @@ class TestEntryPoint:
         proc = subprocess.run(
             [sys.executable, "-m", "strongedge", "generate"],
             capture_output=True,
+            env=cli_env(),
         )
         assert proc.returncode == 2

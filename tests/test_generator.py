@@ -35,8 +35,7 @@ def apply_prefix(trace, t):
             graph.remove_edge(eid)
             pairs = list(step.added)
         for u, v in pairs:
-            x, y = (u, v) if graph.is_left(u) else (v, u)
-            graph.add_edge(x, y - graph.n_left)
+            graph.add_edge(u, v)
     return graph
 
 
@@ -109,7 +108,7 @@ class TestFindDistantLowPair:
         graph = base_cycle(4)
         state = AugmentState.from_graph(graph, 3, 3)
         x, y = find_distant_low_pair(state, random.Random(1))
-        assert not graph.has_edge(x, y)
+        assert graph.edge_id(x, y) is None
 
 
 class TestSwap:
@@ -118,19 +117,17 @@ class TestSwap:
         # low pair chosen below.
         graph = base_cycle(12)
         state = AugmentState.from_graph(graph, 3, 4)
-        near = state._add_cross(2, graph.right(5))  # both endpoints near (3, 16)
-        far = state._add_cross(8, graph.right(11))
+        near = graph.add_edge(2, 12 + 5)  # both endpoints near (3, 16)
+        far = graph.add_edge(8, 12 + 11)
         state.added.update((near, far))
         for u, v in (graph.endpoints(near), graph.endpoints(far)):
             state.x_low.discard(u)
-            state.x_high.add(u)
             state.y_low.discard(v)
-            state.y_high.add(v)
         return graph, state, near, far
 
     def test_exactly_one_far_edge_is_found(self):
         graph, state, _near, far = self.build_scripted_state()
-        x_l, y_l = 3, graph.right(4)
+        x_l, y_l = 3, 12 + 4
         for seed in range(5):  # any scan order must reject the near edge
             x_h, y_h = find_swap_edge(state, x_l, y_l, random.Random(seed))
             assert graph.edge_id(x_h, y_h) == far
@@ -142,11 +139,11 @@ class TestSwap:
         graph = base_cycle(6)
         state = AugmentState.from_graph(graph, 3, 4)
         with pytest.raises(InternalInvariantError):
-            find_swap_edge(state, 0, graph.right(3), random.Random(0))
+            find_swap_edge(state, 0, 6 + 3, random.Random(0))
 
     def test_apply_swap_bookkeeping(self):
         graph, state, near, far = self.build_scripted_state()
-        x_l, y_l = 3, graph.right(4)
+        x_l, y_l = 3, 12 + 4
         size_before = len(state.added)
         x_h, y_h = find_swap_edge(state, x_l, y_l, random.Random(0))
         deg_h = (graph.degree(x_h), graph.degree(y_h))
@@ -154,14 +151,14 @@ class TestSwap:
         assert len(state.added) == size_before + 1
         assert graph.degree(x_l) == 3 and graph.degree(y_l) == 3
         assert (graph.degree(x_h), graph.degree(y_h)) == deg_h
-        assert x_l in state.x_high and y_l in state.y_high
+        assert x_l not in state.x_low and y_l not in state.y_low
         assert girth(graph) >= 4
         assert len(state.x_low) == len(state.y_low)
 
     def test_apply_swap_requires_added_edge(self):
         graph, state, *_ = self.build_scripted_state()
         with pytest.raises(ValueError):
-            apply_swap(state, 3, graph.right(4), 0, graph.right(0))  # base edge
+            apply_swap(state, 3, 12 + 4, 0, 12 + 0)  # base edge
 
 
 class TestAugment:

@@ -12,6 +12,7 @@ from strongedge import (
     distances_from,
     girth,
 )
+from strongedge.graphs import iter_bits
 from _helpers import (
     bipartite_cycle,
     brute_girth,
@@ -22,6 +23,10 @@ from _helpers import (
     random_simple_graph,
     star_graph,
 )
+
+
+def adjacent(cg, i, j):
+    return bool(cg.adj[i] >> j & 1)
 
 
 @st.composite
@@ -45,7 +50,7 @@ def bipartite_graphs(draw, max_side=6):
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
     g = BipartiteGraph(a, b)
     for x, y in chosen:
-        g.add_edge(x, y)
+        g.add_edge(x, a + y)
     return g
 
 
@@ -58,7 +63,7 @@ class TestConstruction:
 
     def test_single_edge_capable(self):
         g = BipartiteGraph(1, 1)
-        assert g.add_edge(0, 0) == 0
+        assert g.add_edge(0, 1) == 0
         assert g.n_edges == 1
 
     def test_shell_for_girth5_cubic(self):
@@ -72,13 +77,13 @@ class TestConstruction:
 
     def test_first_edge_id_is_zero(self):
         g = BipartiteGraph(2, 2)
-        assert g.add_edge(0, 0) == 0
+        assert g.add_edge(0, 2) == 0
 
     def test_duplicate_edge_rejected(self):
         g = BipartiteGraph(2, 2)
-        g.add_edge(0, 0)
+        g.add_edge(0, 2)
         with pytest.raises(DuplicateEdgeError):
-            g.add_edge(0, 0)
+            g.add_edge(2, 0)
 
     def test_c8_degrees_by_direct_count(self):
         g = bipartite_cycle(4)
@@ -93,24 +98,40 @@ class TestConstruction:
     def test_out_of_range_indices(self):
         g = BipartiteGraph(2, 2)
         with pytest.raises(ValueError):
-            g.add_edge(2, 0)
+            g.add_edge(4, 0)
         with pytest.raises(ValueError):
-            g.add_edge(0, 2)
+            g.add_edge(0, 4)
+        with pytest.raises(ValueError):
+            g.add_edge(-1, 2)
+
+    @pytest.mark.parametrize("pair", [(0, 1), (2, 3), (3, 2), (1, 1)])
+    def test_same_side_pair_rejected(self, pair):
+        g = BipartiteGraph(2, 2)
+        with pytest.raises(ValueError, match="same side"):
+            g.add_edge(*pair)
+        assert g.n_edges == 0
+
+    def test_endpoints_stored_left_first(self):
+        g = BipartiteGraph(2, 3)
+        e = g.add_edge(4, 1)
+        assert g.endpoints(e) == (1, 4)
+        assert g.edges() == [(1, 4)]
+        assert g.edge_id(4, 1) == g.edge_id(1, 4) == e
 
 
 class TestRemoval:
     def test_remove_only_edge(self):
         g = BipartiteGraph(1, 1)
-        e = g.add_edge(0, 0)
+        e = g.add_edge(0, 1)
         g.remove_edge(e)
         assert g.n_edges == 0
         g.check_consistent()
 
     def test_remove_then_readd_gets_fresh_id(self):
         g = BipartiteGraph(2, 2)
-        e = g.add_edge(0, 1)
+        e = g.add_edge(0, 3)
         g.remove_edge(e)
-        e2 = g.add_edge(0, 1)
+        e2 = g.add_edge(0, 3)
         assert e2 != e
         assert g.n_edges == 1
 
@@ -119,14 +140,14 @@ class TestRemoval:
         g = bipartite_cycle(3)
         assert g.n_edges == 6
         g.remove_edge(0)
-        g.add_edge(0, 1)
-        g.add_edge(2, 0)
+        g.add_edge(0, 4)
+        g.add_edge(2, 3)
         assert g.n_edges == 7
         g.check_consistent()
 
     def test_stale_id_rejected(self):
         g = BipartiteGraph(2, 2)
-        e = g.add_edge(0, 0)
+        e = g.add_edge(0, 2)
         g.remove_edge(e)
         with pytest.raises(InvalidEdgeError):
             g.endpoints(e)
@@ -147,7 +168,7 @@ class TestRemoval:
         assert sorted(remap.values()) == list(range(5))
         for old, new in remap.items():
             assert g.endpoints(new) == pairs_before[old]
-        assert not g.has_tombstones
+        assert g.edge_ids() == list(range(g.n_edges))
 
     def test_copy_is_independent(self):
         g = bipartite_cycle(3)
@@ -230,11 +251,11 @@ class TestConflictGraph:
         for e in range(9):
             for f in range(9):
                 assert conflicts_by_definition(g, e, f) == (e != f)
-                assert cg.adjacent(e, f) == (e != f)
+                assert adjacent(cg, e, f) == (e != f)
 
     def test_single_edge(self):
         g = BipartiteGraph(1, 1)
-        g.add_edge(0, 0)
+        g.add_edge(0, 1)
         cg = conflict_graph(g)
         assert cg.n_nodes == 1
         assert cg.degrees == (0,)
@@ -245,14 +266,15 @@ class TestConflictGraph:
         assert cg.degrees == (4,) * 8
         for e in range(8):
             expected = {f for f in range(8) if conflicts_by_definition(g, e, f)}
-            assert set(cg.neighbors(e)) == expected
+            assert set(iter_bits(cg.adj[e])) == expected
 
     def test_tombstoned_graph_uses_live_edges(self):
         g = bipartite_cycle(4)
         g.remove_edge(3)
         cg = conflict_graph(g)
         assert cg.n_nodes == 7
-        assert 3 not in cg.edge_ids
+        assert 3 not in g.edge_ids()
+        assert cg.endpoints == tuple(g.endpoints(e) for e in g.edge_ids())
 
 
 class TestClosedEdgeNeighborhood:
@@ -289,24 +311,23 @@ class TestProperties:
     def test_conflict_symmetric_irreflexive_and_correct(self, g):
         cg = conflict_graph(g)
         m = cg.n_nodes
+        eids = g.edge_ids()
         for i in range(m):
-            assert not cg.adjacent(i, i)
+            assert not adjacent(cg, i, i)
             for j in range(m):
-                assert cg.adjacent(i, j) == cg.adjacent(j, i)
-                assert cg.adjacent(i, j) == conflicts_by_definition(
-                    g, cg.edge_ids[i], cg.edge_ids[j]
-                )
+                assert adjacent(cg, i, j) == adjacent(cg, j, i)
+                assert adjacent(cg, i, j) == conflicts_by_definition(g, eids[i], eids[j])
 
     @given(simple_graphs())
     @settings(max_examples=60, deadline=None)
     def test_closed_neighborhood_is_clique(self, g):
         cg = conflict_graph(g)
-        pos = {e: i for i, e in enumerate(cg.edge_ids)}
+        pos = {e: i for i, e in enumerate(g.edge_ids())}
         for e in g.edge_ids():
             nodes = [pos[f] for f in closed_edge_neighborhood(g, e)]
             for i in nodes:
                 for j in nodes:
-                    assert i == j or cg.adjacent(i, j)
+                    assert i == j or adjacent(cg, i, j)
 
     @given(simple_graphs())
     @settings(max_examples=60, deadline=None)
