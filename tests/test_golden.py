@@ -5,11 +5,16 @@ evidence files.  The digests below pin that contract on a fixed grid, so a
 refactor that keeps this file green changes none of those bytes.  A change
 that moves a digest on purpose must say so in CHANGES.md and update the
 literal in the same commit.
+
+The search pins below hold the solver to the same standard: the greedy
+colorings, and the status, bounds, node counts and colorings of the
+budgeted searches, so a change to the search must explore the same tree.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 
 import pytest
 
@@ -17,11 +22,17 @@ from strongedge import (
     ConstructionFailedError,
     build_counterexample,
     choose_n,
+    conflict_graph,
     conjecture2_sweep,
+    exact_chi_s,
+    find_coloring,
     generate,
+    greedy_color,
+    min_last_color_usage,
     serialize_dimacs,
 )
 from strongedge.pipeline import canonical_json
+from _helpers import cycle_graph, heawood_graph
 
 
 def sha256(text: str) -> str:
@@ -118,6 +129,51 @@ SWEEP = {
 }
 
 
+# girth target -> digest of greedy_color's colors on the k=3, seed=1 graph
+GREEDY = {
+    5: "8d0065505911515d7a8d8e4defca87741b61c16d22ded725461ac093de38efde",
+    6: "8c3b1c75d12ddc77b77fdfe57bb5e7820ba5b47d71aea5ec21f5de6619be94e7",
+    7: "8ef52de994a48a4c98e23d57ce4fba1d51fd562ea324a942b354f5a77eafc41e",
+    8: "b501038fecfd61dc3142d0200322dd3dd9373e0bd57406b55f35d6ee32ead795",
+}
+
+# girth target -> (status, chi_s, lower, upper, nodes) of exact_chi_s with a
+# 5000-node budget on the k=3, seed=1 graph, and the digest of its coloring
+EXACT = {
+    5: (("upper-bound-only", None, 6, 8, 5001),
+        "8d0065505911515d7a8d8e4defca87741b61c16d22ded725461ac093de38efde"),
+    6: (("upper-bound-only", None, 5, 8, 5001),
+        "8c3b1c75d12ddc77b77fdfe57bb5e7820ba5b47d71aea5ec21f5de6619be94e7"),
+    7: (("upper-bound-only", None, 5, 8, 5001),
+        "8ef52de994a48a4c98e23d57ce4fba1d51fd562ea324a942b354f5a77eafc41e"),
+}
+
+# the same for the Heawood graph, whose 7-coloring the search finds after
+# refuting 5 and 6 colors
+EXACT_HEAWOOD = (
+    ("exact", 7, 7, 7, 261),
+    "a5a5b0347bc223af4752849b618b5461578e6b3672dce2a0f2f6ecb3afdaaf99",
+)
+
+# cycle length n -> (status, usage, nodes) of min_last_color_usage(C_n, 2)
+USAGE = {
+    6: ("exact", 0, 6), 7: ("exact", 1, 14), 8: ("exact", 2, 58),
+    9: ("exact", 0, 9), 10: ("exact", 1, 20), 11: ("exact", 2, 97),
+    12: ("exact", 0, 12), 13: ("exact", 1, 26), 14: ("exact", 2, 145),
+    15: ("exact", 0, 15), 16: ("exact", 1, 32), 17: ("exact", 2, 202),
+    18: ("exact", 0, 18), 19: ("exact", 1, 38), 20: ("exact", 2, 268),
+}
+
+
+def colors_digest(colors: list[int]) -> str:
+    return sha256(json.dumps(colors, separators=(",", ":")))
+
+
+def k3_conflict_graph(g: int, seed: int):
+    graph, _ = generate(3, g, choose_n(3, g), seed)
+    return conflict_graph(graph)
+
+
 def test_unforced_sizes_are_choose_n():
     for k, g, n, _seed, force in GENERATE:
         assert force or choose_n(k, g) == n
@@ -149,3 +205,33 @@ def test_sweep_evidence(n_start):
         3, 4, 4, node_budget=5000, n_start=n_start, force=n_start is not None
     )
     assert sha256(canonical_json(evidence.to_json_dict())) == SWEEP[n_start]
+
+
+@pytest.mark.parametrize("g", sorted(GREEDY))
+def test_greedy_coloring(g):
+    assert colors_digest(greedy_color(k3_conflict_graph(g, 1)).colors) == GREEDY[g]
+
+
+def exact_pin(out) -> tuple:
+    fields = (out.status, out.chi_s, out.lower_bound, out.upper_bound, out.nodes)
+    return fields, colors_digest(out.coloring.colors)
+
+
+@pytest.mark.parametrize("g", sorted(EXACT))
+def test_exact_search(g):
+    assert exact_pin(exact_chi_s(k3_conflict_graph(g, 1), node_budget=5000)) == EXACT[g]
+
+
+def test_exact_search_on_heawood():
+    assert exact_pin(exact_chi_s(conflict_graph(heawood_graph()))) == EXACT_HEAWOOD
+
+
+def test_find_coloring_runs_to_its_budget():
+    res = find_coloring(k3_conflict_graph(8, 8), 7, node_budget=2000)
+    assert (res.status, res.nodes) == ("timeout", 2001)
+
+
+@pytest.mark.parametrize("n", sorted(USAGE))
+def test_last_color_usage_on_cycles(n):
+    res = min_last_color_usage(conflict_graph(cycle_graph(n)), 2)
+    assert (res.status, res.usage, res.nodes) == USAGE[n]
