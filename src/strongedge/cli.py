@@ -163,25 +163,24 @@ def _cmd_generate(args) -> int:
 def _cmd_solve(args) -> int:
     graph = load_dimacs(args.graph)
     cg = conflict_graph(graph)
+    code = EXIT_OK
     if args.greedy:
         phi = greedy_color(cg)
         print(f"greedy: {phi.n_colors} colors on {cg.n_nodes} edges")
-        if args.output is not None:
-            args.output.write_text(canonical_json(_coloring_json(graph, phi)))
-        return EXIT_OK
-    outcome = exact_chi_s(cg, budget_ms=args.budget_ms, node_budget=args.node_budget)
-    if outcome.status == "exact":
-        print(f"exact: chi_s = {outcome.chi_s} ({outcome.nodes} search nodes)")
-        if args.output is not None:
-            args.output.write_text(canonical_json(_coloring_json(graph, outcome.coloring)))
-        return EXIT_OK
-    print(
-        f"budget exhausted: {outcome.lower_bound} <= chi_s <= {outcome.upper_bound} "
-        f"({outcome.nodes} search nodes)"
-    )
+    else:
+        outcome = exact_chi_s(cg, budget_ms=args.budget_ms, node_budget=args.node_budget)
+        phi = outcome.coloring
+        if outcome.status == "exact":
+            print(f"exact: chi_s = {outcome.chi_s} ({outcome.nodes} search nodes)")
+        else:
+            print(
+                f"budget exhausted: {outcome.lower_bound} <= chi_s <= {outcome.upper_bound} "
+                f"({outcome.nodes} search nodes)"
+            )
+            code = EXIT_TIMEOUT
     if args.output is not None:
-        args.output.write_text(canonical_json(_coloring_json(graph, outcome.coloring)))
-    return EXIT_TIMEOUT
+        args.output.write_text(canonical_json(_coloring_json(graph, phi)))
+    return code
 
 
 def _cmd_verify(args) -> int:

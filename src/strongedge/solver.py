@@ -5,8 +5,11 @@ graphs are in scope, not only bipartite ones.  The decision engine is a
 backtracking search that always branches on the uncolored node with the
 fewest available colors (ties broken by conflict degree, then index) and
 breaks color symmetry canonically: a fresh color may only be introduced as
-the next unused id.  All searches are deterministic; budgets are wall-clock
-with a node-count alternative for reproducible CI.
+the next unused id.  It runs on an explicit stack, so its depth is bounded
+by memory, not by the interpreter's recursion limit.  The saturation greedy
+is its first descent with a palette of one color per edge.  All searches
+are deterministic; budgets are wall-clock with a node-count alternative for
+reproducible CI.
 """
 
 from __future__ import annotations
@@ -67,8 +70,6 @@ class SolveOutcome:
     lower_bound: int
     upper_bound: int
     nodes: int
-    elapsed_s: float
-    timed_out: bool = False
 
 
 @dataclass
@@ -131,26 +132,11 @@ def greedy_color(cg: ConflictGraph) -> StrongColoring:
 
     Colors next the node with the most distinct neighbor colors, ties by
     conflict degree then lowest index, giving it the lowest free color.
+    This is the decision search's first descent with one color per edge
+    available: a fresh color is always free, so it never backtracks, and
+    fewest available colors means most distinct neighbor colors.
     """
-    m = cg.n_nodes
-    colors = [0] * m
-    # bit j set: color j+1 is on a neighbor, so unusable; the popcount is
-    # the node's saturation
-    forbid = [0] * m
-    uncolored = set(range(m))
-    while uncolored:
-        v = max(uncolored, key=lambda u: (forbid[u].bit_count(), cg.degrees[u], -u))
-        free = ~forbid[v]
-        bit = free & -free  # lowest clear bit
-        colors[v] = bit.bit_length()
-        for w in iter_bits(cg.adj[v]):
-            forbid[w] |= bit
-        uncolored.remove(v)
-
-    phi = StrongColoring(colors)
-    if not verify(cg, phi):
-        raise InternalInvariantError("greedy produced an invalid coloring")
-    return phi
+    return _decision_search(cg, cg.n_nodes, None, _Budget()).coloring
 
 
 def _decision_search(
@@ -180,18 +166,19 @@ def _decision_search(
     degrees = cg.degrees
     colors = [0] * m
     forbid = [0] * m
-    solution: list[int] | None = None
-    state = {"uncolored": m, "used": 0, "special_left": special_cap or 0}
+    used = 0
+    special_left = special_cap or 0
+    # One frame per colored node: [node, untried colors, neighbors whose
+    # forbid bit it newly set, used and special_left before its color].
+    stack: list[list] = []
+    status = FOUND
 
-    def dfs() -> str:
-        nonlocal solution
-        if state["uncolored"] == 0:
-            solution = list(colors)
-            return FOUND
-        if budget.spend():
-            return TIMEOUT
-        legal = (1 << min(state["used"] + 1, regular)) - 1
-        if special_bit and state["special_left"] > 0:
+    while len(stack) < m:
+        if budget.spend():  # one node per descent
+            status = TIMEOUT
+            break
+        legal = (1 << min(used + 1, regular)) - 1
+        if special_left > 0:
             legal |= special_bit
         # Most-constrained node first.  Zero availability is a sound dead
         # end: the next fresh color is never forbidden, so it only happens
@@ -203,51 +190,45 @@ def _decision_search(
                 continue
             cnt = (legal & ~forbid[v]).bit_count()
             if cnt == 0:
-                return EXHAUSTED
+                best_v = -1
+                break
             if cnt < best_cnt or (cnt == best_cnt and degrees[v] > degrees[best_v]):
                 best_v, best_cnt = v, cnt
-        v = best_v
-        avail = legal & ~forbid[v]
-        while avail:
-            bit = avail & -avail
-            avail ^= bit
-            c = bit.bit_length()
-            colors[v] = c
-            is_special = bool(special_bit) and bit == special_bit
-            introduced = not is_special and c == state["used"] + 1
-            if is_special:
-                state["special_left"] -= 1
-            elif introduced:
-                state["used"] += 1
-            touched = []
-            rest = adj[v]
-            while rest:
-                wbit = rest & -rest
-                rest ^= wbit
-                w = wbit.bit_length() - 1
-                if not colors[w] and not forbid[w] & bit:
-                    forbid[w] |= bit
-                    touched.append(w)
-            state["uncolored"] -= 1
+        if best_v >= 0:
+            stack.append([best_v, legal & ~forbid[best_v], [], used, special_left])
 
-            res = dfs()
-
-            state["uncolored"] += 1
+        # Back up to the deepest frame with an untried color, uncoloring the
+        # frames above it; a frame just pushed stops this at once.
+        while stack:
+            v, untried, touched, used, special_left = frame = stack[-1]
             for w in touched:
-                forbid[w] ^= bit
-            if is_special:
-                state["special_left"] += 1
-            elif introduced:
-                state["used"] -= 1
+                forbid[w] ^= 1 << (colors[v] - 1)
             colors[v] = 0
-            if res != EXHAUSTED:
-                return res
-        return EXHAUSTED
+            if untried:
+                break
+            stack.pop()
+        else:
+            status = EXHAUSTED
+            break
 
-    status = dfs()
+        bit = untried & -untried
+        c = bit.bit_length()
+        colors[v] = c
+        if bit == special_bit:
+            special_left -= 1
+        elif c == used + 1:
+            used += 1
+        touched = []
+        for w in iter_bits(adj[v]):
+            if not colors[w] and not forbid[w] & bit:
+                forbid[w] |= bit
+                touched.append(w)
+        frame[1] = untried ^ bit
+        frame[2] = touched
+
     spent = budget.nodes - start_nodes
     if status == FOUND:
-        phi = StrongColoring(solution)
+        phi = StrongColoring(colors)
         if not verify(cg, phi):
             raise InternalInvariantError("search produced an invalid coloring")
         return SearchResult(FOUND, phi, spent)
@@ -309,17 +290,11 @@ def exact_chi_s(
     search, ascending.  On budget exhaustion the outcome carries the
     best-known bounds instead of an exact value.
     """
-    t0 = time.monotonic()
     budget = _Budget(budget_ms, node_budget)
-    m = cg.n_nodes
-    if m == 0:
-        return SolveOutcome("exact", 0, StrongColoring([], verified=True), 0, 0, 0, 0.0)
-
     lower = _clique_lower_bound(cg)
     best = greedy_color(cg)
     upper = best.n_colors
     chi: int | None = upper if upper == lower else None
-    timed_out = False
 
     if chi is None:
         for c in range(lower, upper):
@@ -328,18 +303,14 @@ def exact_chi_s(
                 chi, best = c, res.coloring
                 break
             if res.status == TIMEOUT:
-                timed_out = True
                 break
             lower = c + 1  # exhausted search: c colors proven infeasible
         else:
             chi = upper  # every count below the greedy bound was refuted
 
-    elapsed = time.monotonic() - t0
     if chi is not None:
-        return SolveOutcome("exact", chi, best, chi, chi, budget.nodes, elapsed)
-    return SolveOutcome(
-        "upper-bound-only", None, best, lower, upper, budget.nodes, elapsed, timed_out
-    )
+        return SolveOutcome("exact", chi, best, chi, chi, budget.nodes)
+    return SolveOutcome("upper-bound-only", None, best, lower, upper, budget.nodes)
 
 
 def brute_force_chi_s(cg: ConflictGraph) -> int:
@@ -403,10 +374,6 @@ def min_last_color_usage(
         raise ValueError(f"degree must be >= 1, got {k}")
     palette = 2 * k
     budget = _Budget(budget_ms, node_budget)
-    m = cg.n_nodes
-    if m == 0:
-        return MinLastUsageResult("exact", 0, StrongColoring([], verified=True), 0)
-
     probe = _decision_search(cg, palette, None, budget)
     if probe.status == EXHAUSTED:
         return MinLastUsageResult("infeasible", None, None, budget.nodes)

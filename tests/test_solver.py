@@ -6,9 +6,11 @@ import pytest
 from strongedge import (
     StrongColoring,
     brute_force_chi_s,
+    choose_n,
     conflict_graph,
     exact_chi_s,
     find_coloring,
+    generate,
     greedy_color,
     min_last_color_usage,
     verify,
@@ -150,7 +152,6 @@ class TestExact:
         cg = conflict_graph(heawood_graph())
         out = exact_chi_s(cg, node_budget=3)
         assert out.status == "upper-bound-only"
-        assert out.timed_out
         assert out.chi_s is None
         assert out.lower_bound <= out.upper_bound
         assert verify(cg, out.coloring)  # greedy fallback still valid
@@ -194,6 +195,15 @@ class TestFindColoring:
             chi = exact_chi_s(cg).chi_s
             for c in range(chi, min(chi + 4, cg.n_nodes) + 1):
                 assert find_coloring(cg, c).status == "found"
+
+    def test_descent_deeper_than_recursion_limit(self):
+        # m = 1152 nodes on one descent, past Python's default limit of 1000
+        graph, _ = generate(3, 8, choose_n(3, 8), 0)
+        cg = conflict_graph(graph)
+        res = find_coloring(cg, 8, node_budget=5000)
+        assert res.status == "found"
+        assert res.coloring.n_colors <= 8
+        assert verify(cg, res.coloring)
 
 
 class TestMinLastColorUsage:
