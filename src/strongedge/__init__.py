@@ -28,7 +28,6 @@ from .generator import (
     AugmentState,
     GeneratorTrace,
     SwapStep,
-    augment_to_degree,
     base_cycle,
     choose_n,
     find_distant_low_pair,

@@ -119,8 +119,10 @@ def _coloring_json(graph: SimpleGraph, phi: StrongColoring) -> dict:
     }
 
 
-def _coloring_from_json(graph: SimpleGraph, data: dict) -> StrongColoring:
-    """Align a coloring file's edge list with the graph's edge order."""
+def _coloring_from_json(graph: SimpleGraph, data: object) -> StrongColoring:
+    """Align a coloring file's integer edges and colors with the graph's edge order."""
+    if not isinstance(data, dict):
+        raise ValueError("coloring file must hold a JSON object")
     edges = data.get("edges")
     colors = data.get("colors")
     if not isinstance(edges, list) or not isinstance(colors, list) or len(edges) != len(colors):
@@ -135,15 +137,17 @@ def _coloring_from_json(graph: SimpleGraph, data: dict) -> StrongColoring:
     aligned = [0] * len(position)
     seen = set()
     for pair, color in zip(edges, colors):
-        if not (isinstance(pair, list) and len(pair) == 2):
-            raise ValueError(f"bad edge entry {pair!r}")
+        if not (isinstance(pair, list) and len(pair) == 2) or any(
+            type(x) is not int for x in (*pair, color)
+        ):
+            raise ValueError(f"bad entry: edge {pair!r} with color {color!r}")
         key = (pair[0], pair[1]) if pair[0] < pair[1] else (pair[1], pair[0])
         if key not in position:
             raise ValueError(f"edge {pair} is not in the graph")
         if key in seen:
             raise ValueError(f"edge {pair} listed twice")
         seen.add(key)
-        aligned[position[key]] = int(color)
+        aligned[position[key]] = color
     return StrongColoring(aligned)
 
 

@@ -10,6 +10,9 @@ two edges x_l y_h and y_l x_h instead.  Both moves preserve girth >= g, and
 above a parameter floor (:func:`min_n`) the swap edge is guaranteed to
 exist by a counting argument, so construction cannot get stuck.
 
+:func:`generate` validates its input once and owns the graph; each level
+lifts it in place, and the girth is measured once per level, at its end.
+
 Every accepted step is recorded in a :class:`GeneratorTrace`; replaying a
 trace from the base cycle reproduces the output graph exactly and re-checks
 the girth invariant after every step.
@@ -256,50 +259,18 @@ def apply_swap(state: AugmentState, x_l: int, y_l: int, x_h: int, y_h: int) -> N
         raise InternalInvariantError(f"swap changed the degree of ({x_h}, {y_h})")
 
 
-def augment_to_degree(
-    g_base: BipartiteGraph,
-    k: int,
-    girth_target: int,
-    rng: random.Random | None = None,
-    *,
-    force: bool = False,
-) -> tuple[BipartiteGraph, list]:
-    """Lift a (k-1)-regular bipartite graph to a k-regular one, keeping
-    girth >= girth_target.
-
-    The input is copied, never mutated.  An already k-regular input returns
-    unchanged with an empty step list.  Preconditions (balanced sides,
-    degrees k-1 everywhere, girth already >= target, n above the floor
-    unless ``force``) are verified up front.
-    """
-    _check_params(k, girth_target)
-    if rng is None:
-        rng = random.Random(0)
-    graph = g_base.copy()
-    if graph.is_regular(k):
-        return graph, []
-    if not graph.is_regular(k - 1):
-        raise ValueError(f"input graph is neither {k}- nor {k - 1}-regular")
-    if graph.n_left != graph.n_right:
-        raise ValueError(
-            f"sides must balance, got ({graph.n_left}, {graph.n_right})"
-        )
-    n = graph.n_left
-    if not force and n < min_n(k, girth_target):
-        raise ValueError(
-            f"n={n} is below the guaranteed floor min_n({k}, {girth_target})"
-            f"={min_n(k, girth_target)}; pass force to try anyway"
-        )
-    if girth(graph) < girth_target:
-        raise ValueError(f"input girth is below the target {girth_target}")
-
+def _raise_degree(graph: BipartiteGraph, k: int, girth_target: int, rng: random.Random) -> list:
+    """Lift the (k-1)-regular ``graph`` in place to k-regular with girth >=
+    girth_target, and return the steps.  The input girth is already >=
+    girth_target: level 3 starts from a base cycle with 2n >= g, and each
+    later level from a graph whose girth the level before measured."""
     state = AugmentState.from_graph(graph, k, girth_target)
     steps: list = []
     while state.x_low:
         pair = find_distant_low_pair(state, rng)
         if pair is not None:
             x_l, y_l = pair
-            eid = state.graph.add_edge(x_l, y_l)
+            eid = graph.add_edge(x_l, y_l)
             state.added.add(eid)
             state._raise_low(x_l, y_l)
             steps.append(AddStep(x_l, y_l))
@@ -310,14 +281,14 @@ def augment_to_degree(
             apply_swap(state, x_l, y_l, x_h, y_h)
             steps.append(SwapStep(x_h, y_h, x_l, y_l))
 
-    if len(state.added) != n:
+    if len(state.added) != graph.n_left:
         raise InternalInvariantError(
-            f"level finished with {len(state.added)} added edges, expected {n}"
+            f"level finished with {len(state.added)} added edges, expected {graph.n_left}"
         )
     if girth(graph) < girth_target:
         raise InternalInvariantError("final girth check failed after augmentation")
     graph.compact()
-    return graph, steps
+    return steps
 
 
 def generate(
@@ -328,7 +299,9 @@ def generate(
     A pure function of its arguments: the same inputs give an identical
     graph and trace on every run.  ``n`` below :func:`min_n` is rejected
     unless ``force`` is set, in which case an unlucky construction raises
-    :class:`ConstructionFailedError` instead of being guaranteed.
+    :class:`ConstructionFailedError` instead of being guaranteed.  The
+    arguments are validated here, once; the levels 3..k then lift the base
+    cycle in place, each measuring the girth once, when it finishes.
     """
     _check_params(k, g)
     floor = min_n(k, g)
@@ -345,8 +318,7 @@ def generate(
     steps: list = []
     try:
         for level in range(3, k + 1):
-            graph, level_steps = augment_to_degree(graph, level, g, rng, force=force)
-            steps.extend(level_steps)
+            steps.extend(_raise_degree(graph, level, g, rng))
     except InternalInvariantError as exc:
         if force:
             raise ConstructionFailedError(

@@ -103,17 +103,6 @@ class SimpleGraph:
             self._pair_to_eid[(u, v) if u < v else (v, u)] = eid
         return remap
 
-    def copy(self) -> "SimpleGraph":
-        g = self.__class__.__new__(self.__class__)
-        g.__dict__.update(
-            n_vertices=self.n_vertices,
-            _endpoints=list(self._endpoints),
-            _adj=[list(a) for a in self._adj],
-            _pair_to_eid=dict(self._pair_to_eid),
-            _n_live=self._n_live,
-        )
-        return g
-
     # -- queries ------------------------------------------------------
 
     @property
@@ -209,12 +198,6 @@ class BipartiteGraph(SimpleGraph):
     def is_left(self, v: int) -> bool:
         self._check_vertex(v)
         return v < self.n_left
-
-    def copy(self) -> "BipartiteGraph":
-        g = super().copy()
-        g.n_left = self.n_left
-        g.n_right = self.n_right
-        return g
 
 
 def distances_from(g: SimpleGraph, sources: Iterable[int], cutoff: int) -> list[int]:

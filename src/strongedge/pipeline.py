@@ -265,11 +265,6 @@ def certify_graph(path: str | Path, k: int) -> CounterexampleRecord:
     raw = Path(path).read_bytes()
     graph = load_dimacs(path)
     n = _verify_bipartite(graph)
-    _check(
-        "vertex-count",
-        graph.n_vertices == 2 * n,
-        f"vertex count {graph.n_vertices} is not 2n",
-    )
     girth_value, m, cert = _recompute_checks(graph, k, None)
     return CounterexampleRecord(
         k=k,

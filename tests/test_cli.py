@@ -2,9 +2,11 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from strongedge import generate, girth, load_dimacs, save_dimacs
 from strongedge.cli import main
-from _helpers import bipartite_cycle, cli_env, cycle_graph, heawood_graph
+from _helpers import bipartite_cycle, cli_env, cycle_graph, heawood_graph, path_graph
 
 
 def run(*argv):
@@ -105,6 +107,26 @@ class TestVerifyCommand:
         path, coloring = self.make_pair(tmp_path)
         coloring.write_text("not json")
         assert run("verify", path, coloring) == 2
+
+    P4_EDGES = [[1, 2], [2, 3], [3, 4]]
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"edges": P4_EDGES, "colors": [1.7, 2, 3]},
+            {"edges": [["1", 2], [2, 3], [3, 4]], "colors": [1, 2, 3]},
+            {"edges": P4_EDGES, "colors": [1, None, 3]},
+            [P4_EDGES, [1, 2, 3]],
+        ],
+        ids=["float-color", "string-endpoint", "null-color", "top-level-list"],
+    )
+    def test_non_integer_coloring_is_invalid_input(self, tmp_path, capsys, data):
+        path = tmp_path / "p4.dimacs"
+        coloring = tmp_path / "p4.json"
+        save_dimacs(path, path_graph(4))
+        coloring.write_text(json.dumps(data))
+        assert run("verify", path, coloring) == 2
+        assert "invalid input" in capsys.readouterr().err
 
 
 class TestCounterexampleCommand:

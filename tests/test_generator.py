@@ -11,7 +11,6 @@ from strongedge import (
     InternalInvariantError,
     SwapStep,
     apply_swap,
-    augment_to_degree,
     base_cycle,
     choose_n,
     distances_from,
@@ -22,6 +21,7 @@ from strongedge import (
     min_n,
     replay_trace,
 )
+from strongedge.generator import _raise_degree
 
 
 def apply_prefix(trace, t):
@@ -163,32 +163,17 @@ class TestSwap:
 
 class TestAugment:
     def test_c48_to_cubic_girth4(self):
-        graph, steps = augment_to_degree(base_cycle(24), 3, 4, random.Random(9))
+        graph = base_cycle(24)
+        steps = _raise_degree(graph, 3, 4, random.Random(9))
         assert graph.is_regular(3)
         assert graph.n_edges == 72
         assert girth(graph) >= 4
         assert len(steps) == 24
 
-    def test_already_regular_returns_immediately(self):
-        cubic, _ = generate(3, 4, 24, seed=0)
-        again, steps = augment_to_degree(cubic, 3, 4, random.Random(0))
-        assert steps == []
-        assert sorted(again.edges()) == sorted(cubic.edges())
-
     def test_wrong_degree_rejected(self):
         cubic, _ = generate(3, 4, 24, seed=0)
         with pytest.raises(ValueError):
-            augment_to_degree(cubic, 5, 4, random.Random(0))
-
-    def test_floor_enforced_without_force(self):
-        with pytest.raises(ValueError):
-            augment_to_degree(base_cycle(10), 3, 6, random.Random(0))
-
-    def test_low_girth_input_rejected(self):
-        graph, _ = generate(3, 4, 24, seed=1)  # girth may be exactly 4
-        if girth(graph) < 6:
-            with pytest.raises(ValueError):
-                augment_to_degree(graph, 4, 6, random.Random(0), force=True)
+            AugmentState.from_graph(cubic, 5, 4)
 
 
 class TestGenerate:
@@ -221,6 +206,24 @@ class TestGenerate:
     def test_impossible_even_with_force(self):
         with pytest.raises(ValueError):
             generate(3, 5, 2, seed=0, force=True)  # k > n
+
+    def test_base_cycle_shorter_than_girth_rejected_even_with_force(self):
+        # The levels never measure their input's girth, so this check is
+        # what makes the base cycle's girth 2n meet the target.
+        with pytest.raises(ValueError):
+            generate(3, 12, 5, force=True)
+
+    @pytest.mark.parametrize("k, g, levels", [(3, 6, 1), (4, 5, 2)])
+    def test_girth_measured_once_per_level(self, monkeypatch, k, g, levels):
+        calls = []
+
+        def counting_girth(graph):
+            calls.append(graph.n_vertices)
+            return girth(graph)
+
+        monkeypatch.setattr("strongedge.generator.girth", counting_girth)
+        generate(k, g, choose_n(k, g), 0)
+        assert len(calls) == levels
 
     def test_force_succeeds_or_fails_cleanly(self):
         outcomes = set()

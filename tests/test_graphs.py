@@ -170,15 +170,6 @@ class TestRemoval:
             assert g.endpoints(new) == pairs_before[old]
         assert g.edge_ids() == list(range(g.n_edges))
 
-    def test_copy_is_independent(self):
-        g = bipartite_cycle(3)
-        h = g.copy()
-        h.remove_edge(0)
-        assert g.n_edges == 6
-        assert h.n_edges == 5
-        assert isinstance(h, BipartiteGraph)
-        assert h.n_left == 3
-
 
 class TestDistances:
     def test_cycle_antipode(self):
