@@ -14,8 +14,9 @@ from collections import deque
 from pathlib import Path
 
 import strongedge
-from strongedge import BipartiteGraph, SimpleGraph, StrongColoring
+from strongedge import BipartiteGraph, SimpleGraph, StrongColoring, verify
 from strongedge.graphs import iter_bits
+from strongedge.solver import EXHAUSTED, FOUND, TIMEOUT, SearchResult
 
 
 def cycle_graph(n: int) -> SimpleGraph:
@@ -62,6 +63,16 @@ def heawood_graph() -> BipartiteGraph:
     for i in range(7):
         for d in (0, 1, 3):
             g.add_edge(i, 7 + (i + d) % 7)
+    return g
+
+
+def petersen_graph() -> SimpleGraph:
+    """Outer 5-cycle, inner pentagram, five spokes: cubic, girth 5."""
+    g = SimpleGraph(10)
+    for i in range(5):
+        g.add_edge(i, (i + 1) % 5)
+        g.add_edge(5 + i, 5 + (i + 2) % 5)
+        g.add_edge(i, 5 + i)
     return g
 
 
@@ -125,3 +136,87 @@ def conflicts_by_definition(g: SimpleGraph, e: int, f: int) -> bool:
         if {u, v} <= {a, b} | {c, d} and len({u, v} & {a, b}) == 1:
             return True
     return False
+
+
+def scan_decision_search(cg, palette, special_cap, budget) -> SearchResult:
+    """Reference decision search that picks each node by an O(m) scan.
+
+    The same search tree as ``strongedge.solver._decision_search`` (same
+    picks, tie rules, dead-end test and one node charged per descent), but
+    every pick rescans all uncolored nodes for the fewest available colors,
+    ties by higher conflict degree, then lower index.  Tests compare the
+    production search's status, coloring and node count against it.
+    """
+    m = cg.n_nodes
+    start_nodes = budget.nodes
+    if m == 0:
+        return SearchResult(FOUND, StrongColoring([], verified=True), 0)
+    if palette <= 0:
+        return SearchResult(EXHAUSTED, None, 0)
+
+    regular = palette if special_cap is None else palette - 1
+    special_bit = 0 if special_cap is None else 1 << (palette - 1)
+    adj = cg.adj
+    degrees = cg.degrees
+    colors = [0] * m
+    forbid = [0] * m
+    used = 0
+    special_left = special_cap or 0
+    stack: list[list] = []
+    status = FOUND
+
+    while len(stack) < m:
+        if budget.spend():
+            status = TIMEOUT
+            break
+        legal = (1 << min(used + 1, regular)) - 1
+        if special_left > 0:
+            legal |= special_bit
+        best_v = -1
+        best_cnt = palette + 1
+        for v in range(m):
+            if colors[v]:
+                continue
+            cnt = (legal & ~forbid[v]).bit_count()
+            if cnt == 0:
+                best_v = -1
+                break
+            if cnt < best_cnt or (cnt == best_cnt and degrees[v] > degrees[best_v]):
+                best_v, best_cnt = v, cnt
+        if best_v >= 0:
+            stack.append([best_v, legal & ~forbid[best_v], [], used, special_left])
+
+        while stack:
+            v, untried, touched, used, special_left = frame = stack[-1]
+            for w in touched:
+                forbid[w] ^= 1 << (colors[v] - 1)
+            colors[v] = 0
+            if untried:
+                break
+            stack.pop()
+        else:
+            status = EXHAUSTED
+            break
+
+        bit = untried & -untried
+        c = bit.bit_length()
+        colors[v] = c
+        if bit == special_bit:
+            special_left -= 1
+        elif c == used + 1:
+            used += 1
+        touched = []
+        for w in iter_bits(adj[v]):
+            if not colors[w] and not forbid[w] & bit:
+                forbid[w] |= bit
+                touched.append(w)
+        frame[1] = untried ^ bit
+        frame[2] = touched
+
+    spent = budget.nodes - start_nodes
+    if status == FOUND:
+        phi = StrongColoring(colors)
+        if not verify(cg, phi):
+            raise AssertionError("reference search produced an invalid coloring")
+        return SearchResult(FOUND, phi, spent)
+    return SearchResult(status, None, spent)

@@ -135,6 +135,8 @@ GREEDY = {
     6: "8c3b1c75d12ddc77b77fdfe57bb5e7820ba5b47d71aea5ec21f5de6619be94e7",
     7: "8ef52de994a48a4c98e23d57ce4fba1d51fd562ea324a942b354f5a77eafc41e",
     8: "b501038fecfd61dc3142d0200322dd3dd9373e0bd57406b55f35d6ee32ead795",
+    9: "9c37bf870d0466a101f6f535eea00226a7285fd0e85878d8333bb1f9b7441879",
+    10: "e7af7f7e4630d9d2d65b2dfaa83f9824902fe0dfe4bdd07dc46471b68cc80251",
 }
 
 # girth target -> (status, chi_s, lower, upper, nodes) of exact_chi_s with a

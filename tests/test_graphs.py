@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,6 +12,7 @@ from strongedge import (
     closed_edge_neighborhood,
     conflict_graph,
     distances_from,
+    generate,
     girth,
 )
 from strongedge.graphs import iter_bits
@@ -232,6 +235,29 @@ class TestGirth:
 
     def test_triangle(self):
         assert girth(cycle_graph(3)) == 3
+
+    def test_matches_oracle_on_seeded_families(self):
+        rng = random.Random(11)
+        graphs = [random_simple_graph(rng, 12, rng.choice([8, 14, 24])) for _ in range(150)]
+        for _ in range(20):  # random forests
+            n = rng.randint(2, 14)
+            forest = SimpleGraph(n)
+            for v in range(1, n):
+                if rng.random() < 0.8:
+                    forest.add_edge(rng.randrange(v), v)
+            graphs.append(forest)
+        for n in range(3, 16, 2):  # odd cycles, bare and with a pendant path
+            graphs.append(cycle_graph(n))
+            tailed = SimpleGraph(n + 2)
+            for i in range(n):
+                tailed.add_edge(i, (i + 1) % n)
+            tailed.add_edge(0, n)
+            tailed.add_edge(n, n + 1)
+            graphs.append(tailed)
+        for k, g, n in [(3, 5, 48), (3, 6, 96), (3, 7, 192), (4, 5, 122)]:  # golden grid
+            graphs.extend(generate(k, g, n, seed)[0] for seed in range(3))
+        for graph in graphs:
+            assert girth(graph) == brute_girth(graph)
 
 
 class TestConflictGraph:

@@ -15,13 +15,15 @@ from strongedge import (
     min_last_color_usage,
     verify,
 )
-from strongedge.solver import _clique_lower_bound
+from strongedge.solver import _Budget, _clique_lower_bound, _decision_search
 from _helpers import (
     complete_bipartite,
     cycle_graph,
     heawood_graph,
     path_graph,
+    petersen_graph,
     random_simple_graph,
+    scan_decision_search,
     star_graph,
 )
 
@@ -250,3 +252,54 @@ class TestMinLastColorUsage:
         cg = conflict_graph(cycle_graph(20))
         res = min_last_color_usage(cg, 2, node_budget=1)
         assert res.status == "best-found"
+
+
+def equivalence_family():
+    """Seeded graphs for the scan-equivalence check: random simple graphs
+    (uneven conflict degrees, so degree ties decide picks), forced k = 3 and
+    k = 4 builds, the Petersen graph and the cycles C5..C12."""
+    rng = random.Random(2024)
+    family = {f"random-{i}": random_simple_graph(rng, 12, 20) for i in range(24)}
+    for k, g, n, seed in [(3, 4, 7, 0), (3, 4, 11, 0), (3, 6, 7, 1), (4, 4, 9, 0)]:
+        family[f"forced-k{k}-g{g}-n{n}"] = generate(k, g, n, seed, force=True)[0]
+    family["petersen"] = petersen_graph()
+    for n in range(5, 13):
+        family[f"C{n}"] = cycle_graph(n)
+    return family
+
+
+EQUIVALENCE_FAMILY = equivalence_family()
+
+
+class TestScanEquivalence:
+    """The bucketed pick explores the same tree as a full rescan of the
+    uncolored nodes: same status, coloring and node count."""
+
+    @pytest.mark.parametrize("name", sorted(EQUIVALENCE_FAMILY))
+    def test_same_outcome_as_scan(self, name):
+        cg = conflict_graph(EQUIVALENCE_FAMILY[name])
+        out = exact_chi_s(cg, node_budget=20000)
+        chi = out.chi_s if out.chi_s is not None else out.upper_bound
+        for palette in (chi - 1, chi, chi + 1):
+            for special_cap in (None, 0, 1, 3):
+                for node_budget in (1, 7, 60, 2000, None if cg.n_nodes <= 15 else 5000):
+                    ref = scan_decision_search(cg, palette, special_cap, _Budget(node_budget=node_budget))
+                    res = _decision_search(cg, palette, special_cap, _Budget(node_budget=node_budget))
+                    case = (palette, special_cap, node_budget)
+                    assert res.status == ref.status, case
+                    assert res.nodes == ref.nodes, case
+                    assert (res.coloring and res.coloring.colors) == (ref.coloring and ref.coloring.colors), case
+
+    def test_family_reaches_every_outcome(self):
+        # The family must make the search find, refute and run out of
+        # budget, and must spend a capped special color, or the comparison
+        # above could pass on paths the rewrite never takes.
+        seen = set()
+        for graph in EQUIVALENCE_FAMILY.values():
+            cg = conflict_graph(graph)
+            for palette in range(1, 8):
+                res = _decision_search(cg, palette, 1, _Budget(node_budget=60))
+                seen.add(res.status)
+                if res.status == "found" and res.coloring.usage(palette) == 1:
+                    seen.add("special used up")
+        assert seen == {"found", "none", "timeout", "special used up"}
