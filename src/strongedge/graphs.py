@@ -250,9 +250,9 @@ def girth(g: SimpleGraph) -> int | float:
         while queue:
             u = queue.popleft()
             du = dist[u]
-            # No cycle through `root` shorter than `best` can involve
-            # vertices deeper than best // 2.
-            if du > best // 2:
+            # A cycle closed from depth du is at least 2 * du long, so once
+            # 2 * du >= best no deeper layer can improve `best`.
+            if 2 * du >= best:
                 continue
             for w, eid in g._adj[u]:
                 if eid == parent_edge[u]:

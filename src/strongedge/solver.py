@@ -5,11 +5,13 @@ graphs are in scope, not only bipartite ones.  The decision engine is a
 backtracking search that always branches on the uncolored node with the
 fewest available colors (ties broken by conflict degree, then index) and
 breaks color symmetry canonically: a fresh color may only be introduced as
-the next unused id.  It runs on an explicit stack, so its depth is bounded
-by memory, not by the interpreter's recursion limit.  The saturation greedy
-is its first descent with a palette of one color per edge.  All searches
-are deterministic; budgets are wall-clock with a node-count alternative for
-reproducible CI.
+the next unused id.  It keeps the uncolored nodes in saturation buckets
+(DSATUR, Brélaz 1979), so a step costs time in proportion to the neighbors
+it touches, not to the edge count.  It runs on an explicit stack, so its
+depth is bounded by memory, not by the interpreter's recursion limit.  The
+saturation greedy is its first descent with a palette of one color per
+edge.  All searches are deterministic; budgets are wall-clock with a
+node-count alternative for reproducible CI.
 """
 
 from __future__ import annotations
@@ -81,9 +83,17 @@ class MinLastUsageResult:
 
 
 class _Budget:
-    """Shared node/wall-clock budget threaded through nested searches."""
+    """Shared node/wall-clock budget threaded through nested searches.
+
+    A negative budget is invalid (``ValueError``).  A budget of 0 runs out
+    at once: a node budget before the first node, a wall-clock budget at the
+    first clock check.
+    """
 
     def __init__(self, budget_ms: int | None = None, node_budget: int | None = None):
+        for name, value in (("budget_ms", budget_ms), ("node_budget", node_budget)):
+            if value is not None and value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
         self.deadline = None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
         self.node_limit = node_budget
         self.nodes = 0
@@ -152,6 +162,12 @@ def _decision_search(
     ``special_cap`` nodes; colors 1..palette-1 stay interchangeable and are
     introduced in first-use order.  The special color occupies the highest
     bit, so ascending-bit enumeration tries it last.
+
+    Each step picks the node to color from saturation buckets kept up to
+    date as colors are set and undone, so a step costs time in proportion
+    to the neighbors it touches and to the size of the highest bucket, not
+    to m.  Only the special color running out or coming back on undo
+    re-keys in one pass over the nodes.
     """
     m = cg.n_nodes
     start_nodes = budget.nodes
@@ -168,6 +184,32 @@ def _decision_search(
     forbid = [0] * m
     used = 0
     special_left = special_cap or 0
+    # Saturation buckets: each uncolored node v off the stack sits in
+    # buckets[key[v]], key[v] = |forbid[v] & legal|, so the fewest available
+    # colors is the highest key.  forbid[v] holds only colors in use, and
+    # legal grows only by the next fresh color, which no node forbids, so
+    # keys move only when a forbid bit is set or cleared, or when the
+    # special color leaves or rejoins legal.  `top` is at least the highest
+    # non-empty key.
+    key = [0] * m
+    buckets: list[set[int]] = [set() for _ in range(min(palette, max(degrees)) + 1)]
+    buckets[0].update(range(m))
+    top = 0
+
+    def rekey(w: int) -> None:
+        nonlocal top
+        k = (forbid[w] & ~special_bit if special_left == 0 else forbid[w]).bit_count()
+        buckets[key[w]].discard(w)
+        buckets[k].add(w)
+        key[w] = k
+        top = max(top, k)
+
+    def rekey_special_neighbors() -> None:
+        # The special color just left or rejoined legal.
+        for w in range(m):
+            if not colors[w] and forbid[w] & special_bit:
+                rekey(w)
+
     # One frame per colored node: [node, untried colors, neighbors whose
     # forbid bit it newly set, used and special_left before its color].
     stack: list[list] = []
@@ -180,33 +222,39 @@ def _decision_search(
         legal = (1 << min(used + 1, regular)) - 1
         if special_left > 0:
             legal |= special_bit
-        # Most-constrained node first.  Zero availability is a sound dead
-        # end: the next fresh color is never forbidden, so it only happens
-        # once the palette is truly exhausted for that node.
-        best_v = -1
-        best_cnt = palette + 1
-        for v in range(m):
-            if colors[v]:
-                continue
-            cnt = (legal & ~forbid[v]).bit_count()
-            if cnt == 0:
-                best_v = -1
-                break
-            if cnt < best_cnt or (cnt == best_cnt and degrees[v] > degrees[best_v]):
-                best_v, best_cnt = v, cnt
-        if best_v >= 0:
-            stack.append([best_v, legal & ~forbid[best_v], [], used, special_left])
+        # Most-constrained node first, ties by conflict degree, then index.
+        # A key equal to |legal| (no color left) is a sound dead end: the
+        # next fresh color is never forbidden, so it only happens once the
+        # palette is truly exhausted for that node.
+        while not buckets[top]:
+            top -= 1
+        if top < legal.bit_count():
+            v = max(buckets[top], key=lambda w: (degrees[w], -w))
+            buckets[top].remove(v)
+            stack.append([v, legal & ~forbid[v], [], used, special_left])
 
         # Back up to the deepest frame with an untried color, uncoloring the
         # frames above it; a frame just pushed stops this at once.
         while stack:
-            v, untried, touched, used, special_left = frame = stack[-1]
-            for w in touched:
-                forbid[w] ^= 1 << (colors[v] - 1)
-            colors[v] = 0
+            v, untried, touched, used, left_before = frame = stack[-1]
+            if colors[v]:
+                bit = 1 << (colors[v] - 1)
+                counted = bit != special_bit or special_left > 0
+                for w in touched:
+                    forbid[w] ^= bit
+                    if counted:
+                        k = key[w]
+                        buckets[k].remove(w)
+                        buckets[k - 1].add(w)
+                        key[w] = k - 1
+                special_left = left_before
+                if not counted:
+                    rekey_special_neighbors()
+                colors[v] = 0
             if untried:
                 break
             stack.pop()
+            rekey(v)
         else:
             status = EXHAUSTED
             break
@@ -218,11 +266,21 @@ def _decision_search(
             special_left -= 1
         elif c == used + 1:
             used += 1
+        counted = bit != special_bit or special_left > 0
         touched = []
         for w in iter_bits(adj[v]):
             if not colors[w] and not forbid[w] & bit:
                 forbid[w] |= bit
                 touched.append(w)
+                if counted:
+                    k = key[w] + 1
+                    buckets[k - 1].remove(w)
+                    buckets[k].add(w)
+                    key[w] = k
+                    if k > top:
+                        top = k
+        if not counted:
+            rekey_special_neighbors()
         frame[1] = untried ^ bit
         frame[2] = touched
 

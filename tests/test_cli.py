@@ -216,6 +216,28 @@ class TestConjecture2Commands:
         assert all(r["usage"] <= r["cap"] for r in data["rows"])
 
 
+class TestBudgetFlags:
+    @pytest.mark.parametrize("flag", ["--node-budget", "--budget-ms"])
+    @pytest.mark.parametrize("command", ["solve", "conjecture2", "conjecture2-sweep"])
+    def test_negative_budget_is_invalid_input(self, tmp_path, capsys, command, flag):
+        path = tmp_path / "p4.dimacs"
+        save_dimacs(path, path_graph(4))
+        argv = {
+            "solve": ["solve", path],
+            "conjecture2": ["conjecture2", path, "--k", 2],
+            "conjecture2-sweep": ["conjecture2-sweep", "--k", 2, "--g", 4, "--count", 1],
+        }[command]
+        assert run(*argv, flag, -1) == 2
+        assert f"{flag[2:].replace('-', '_')} must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["solve", "conjecture2"])
+    def test_zero_node_budget_is_a_timeout(self, tmp_path, command):
+        path = tmp_path / "c7.dimacs"
+        save_dimacs(path, cycle_graph(7))
+        argv = [command, path] + (["--k", 2] if command == "conjecture2" else [])
+        assert run(*argv, "--node-budget", 0) == 4
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         out = tmp_path / "g.dimacs"
