@@ -27,6 +27,7 @@ from strongedge import (
     exact_chi_s,
     find_coloring,
     generate,
+    girth,
     greedy_color,
     min_last_color_usage,
     serialize_dimacs,
@@ -139,6 +140,10 @@ GREEDY = {
     10: "e7af7f7e4630d9d2d65b2dfaa83f9824902fe0dfe4bdd07dc46471b68cc80251",
 }
 
+# girth target -> exact girth of the k=3, seed=1 graph; the builds
+# overshoot odd targets by one, since bipartite cycles are even
+GIRTH = {5: 6, 6: 6, 7: 8, 8: 8, 9: 10, 10: 10}
+
 # girth target -> (status, chi_s, lower, upper, nodes) of exact_chi_s with a
 # 5000-node budget on the k=3, seed=1 graph, and the digest of its coloring
 EXACT = {
@@ -212,6 +217,11 @@ def test_sweep_evidence(n_start):
 @pytest.mark.parametrize("g", sorted(GREEDY))
 def test_greedy_coloring(g):
     assert colors_digest(greedy_color(k3_conflict_graph(g, 1)).colors) == GREEDY[g]
+
+
+@pytest.mark.parametrize("g", sorted(GIRTH))
+def test_exact_girth(g):
+    assert girth(generate(3, g, choose_n(3, g), 1)[0]) == GIRTH[g]
 
 
 def exact_pin(out) -> tuple:

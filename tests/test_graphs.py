@@ -23,9 +23,29 @@ from _helpers import (
     conflicts_by_definition,
     cycle_graph,
     heawood_graph,
+    petersen_graph,
     random_simple_graph,
     star_graph,
 )
+
+
+def relabeled(graph: SimpleGraph, perm: list[int]) -> SimpleGraph:
+    """A copy of ``graph`` with vertex v renamed ``perm[v]``."""
+    out = SimpleGraph(graph.n_vertices)
+    for u, v in graph.edges():
+        out.add_edge(perm[u], perm[v])
+    return out
+
+
+def disjoint_cycles(lengths) -> SimpleGraph:
+    """Vertex-disjoint cycles of the given lengths on consecutive ids."""
+    graph = SimpleGraph(sum(lengths))
+    start = 0
+    for n in lengths:
+        for i in range(n):
+            graph.add_edge(start + i, start + (i + 1) % n)
+        start += n
+    return graph
 
 
 def adjacent(cg, i, j):
@@ -257,6 +277,80 @@ class TestGirth:
         for k, g, n in [(3, 5, 48), (3, 6, 96), (3, 7, 192), (4, 5, 122)]:  # golden grid
             graphs.extend(generate(k, g, n, seed)[0] for seed in range(3))
         for graph in graphs:
+            assert girth(graph) == brute_girth(graph)
+
+    def test_matches_oracle_with_vertices_permuted(self):
+        # The order in which vertices are visited, deleted and peeled follows
+        # the vertex ids, so the same graphs under random relabelings put
+        # their short cycles at every position in that order.
+        rng = random.Random(23)
+        graphs = [random_simple_graph(rng, 12, rng.choice([8, 14, 24])) for _ in range(60)]
+        graphs += [generate(3, 6, 96, seed)[0] for seed in range(2)]
+        graphs += [generate(3, 5, 48, 0)[0], heawood_graph(), petersen_graph()]
+        for graph in graphs:
+            for _ in range(3):
+                perm = list(range(graph.n_vertices))
+                rng.shuffle(perm)
+                shuffled = relabeled(graph, perm)
+                assert girth(shuffled) == brute_girth(shuffled) == brute_girth(graph)
+
+    @pytest.mark.parametrize("lengths", [(9, 7, 5), (12, 8, 4), (6, 3), (10, 10, 9)])
+    def test_disjoint_cycles_shortest_on_highest_ids(self, lengths):
+        graph = disjoint_cycles(lengths)
+        assert girth(graph) == brute_girth(graph) == min(lengths)
+
+    @pytest.mark.parametrize("a, b, path_len", [(5, 7, 6), (8, 3, 10), (4, 4, 1), (9, 6, 0)])
+    def test_two_cycles_joined_by_a_path(self, a, b, path_len):
+        # C_a on the lowest ids, then the path's inner vertices, then C_b on
+        # the highest; the path has path_len edges, and with 0 the two
+        # cycles share one vertex.
+        second = a + path_len - 1  # first vertex of C_b, the path's far end
+        graph = SimpleGraph(second + b)
+        for i in range(a):
+            graph.add_edge(i, (i + 1) % a)
+        for i in range(b):
+            graph.add_edge(second + i, second + (i + 1) % b)
+        for u in range(a - 1, second):
+            graph.add_edge(u, u + 1)
+        assert girth(graph) == brute_girth(graph) == min(a, b)
+
+    def test_isolated_vertices_around_a_cycle(self):
+        graph = SimpleGraph(12)
+        for i in range(5):
+            graph.add_edge(3 + i, 3 + (i + 1) % 5)
+        graph.add_edge(10, 11)
+        assert girth(graph) == brute_girth(graph) == 5
+
+    def test_tombstoned_edges_before_compact(self):
+        graph = heawood_graph()
+        graph.remove_edge(0)
+        graph.remove_edge(7)
+        before = brute_girth(graph)
+        assert girth(graph) == before
+        graph.compact()
+        assert girth(graph) == brute_girth(graph) == before
+        broken = cycle_graph(6)
+        broken.remove_edge(2)  # one removed edge leaves a path
+        assert girth(broken) == INFINITE_GIRTH
+
+    def test_petersen_odd_girth(self):
+        graph = petersen_graph()
+        assert girth(graph) == brute_girth(graph) == 5
+
+    def test_leaves_the_graph_unchanged(self):
+        rng = random.Random(5)
+        graphs = [random_simple_graph(rng, 12, 20) for _ in range(20)]
+        tombstoned = heawood_graph()
+        tombstoned.remove_edge(3)
+        graphs += [generate(3, 6, 96, 0)[0], petersen_graph(), tombstoned, SimpleGraph(4)]
+        for graph in graphs:
+            edges, ids = graph.edges(), graph.edge_ids()
+            adjacency = [graph.neighbors(v) for v in range(graph.n_vertices)]
+            girth(graph)
+            graph.check_consistent()
+            assert graph.edges() == edges
+            assert graph.edge_ids() == ids
+            assert [graph.neighbors(v) for v in range(graph.n_vertices)] == adjacency
             assert girth(graph) == brute_girth(graph)
 
 
