@@ -234,28 +234,55 @@ def distances_from(g: SimpleGraph, sources: Iterable[int], cutoff: int) -> list[
 def girth(g: SimpleGraph) -> int | float:
     """Length of a shortest cycle, or ``INFINITE_GIRTH`` for forests.
 
-    One truncated BFS per vertex finds the shortest cycle through each
-    vertex; O(V*E) overall, which is ample at desk scale.  For bipartite
-    graphs the result is even.
+    One BFS per root, each cut off once ``2 * du >= best``, run on a graph
+    that shrinks as it goes: after a root's BFS the root is deleted, and
+    then every vertex left with at most one neighbor is peeled away, until
+    what remains is a 2-core.  This is exact, since girth(H) is the minimum
+    of the shortest cycle through r and girth(H - r), a vertex of degree at
+    most 1 lies on no cycle, and every length a BFS reports closes a walk
+    that contains a cycle of what remains.  On a bipartite graph with its
+    left side numbered first, each deleted left root lowers the degrees of
+    its right neighbors, so the right side has peeled away before its roots
+    come up.  ``g`` itself is not modified.  For bipartite graphs the
+    result is even.
     """
     best: int | float = INFINITE_GIRTH
     n = g.n_vertices
-    for root in range(n):
-        if not g._adj[root]:
-            continue
-        dist = [-1] * n
-        parent_edge = [-1] * n
-        dist[root] = 0
-        queue: deque[int] = deque([root])
-        while queue:
-            u = queue.popleft()
-            du = dist[u]
-            # A cycle closed from depth du is at least 2 * du long, so once
-            # 2 * du >= best no deeper layer can improve `best`.
-            if 2 * du >= best:
+    adj = g._adj
+    degree = [len(a) for a in adj]
+    deleted = [False] * n
+    dist = [-1] * n
+    parent_edge = [-1] * n
+
+    def peel(doomed: list[int]) -> None:
+        """Delete the doomed vertices, dooming each neighbor whose remaining
+        degree drops to 1."""
+        while doomed:
+            v = doomed.pop()
+            if deleted[v]:
                 continue
-            for w, eid in g._adj[u]:
-                if eid == parent_edge[u]:
+            deleted[v] = True
+            for w, _eid in adj[v]:
+                if not deleted[w]:
+                    degree[w] -= 1
+                    if degree[w] == 1:
+                        doomed.append(w)
+
+    peel([v for v in range(n) if degree[v] <= 1])
+    for root in range(n):
+        if deleted[root]:
+            continue
+        dist[root] = 0
+        queue = [root]
+        for u in queue:
+            du = dist[u]
+            # A cycle closed from depth du is at least 2 * du long, and the
+            # queue's depths never fall, so once 2 * du >= best no later
+            # vertex can improve `best`.
+            if 2 * du >= best:
+                break
+            for w, eid in adj[u]:
+                if eid == parent_edge[u] or deleted[w]:
                     continue
                 if dist[w] < 0:
                     dist[w] = du + 1
@@ -265,6 +292,10 @@ def girth(g: SimpleGraph) -> int | float:
                     cand = du + dist[w] + 1
                     if cand < best:
                         best = cand
+        for u in queue:
+            dist[u] = -1
+            parent_edge[u] = -1
+        peel([root])
     return best
 
 
