@@ -1,5 +1,6 @@
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -90,6 +91,19 @@ class TestCertify:
         assert record.n == 7
         assert record.seed is None
         assert record.graph_sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_parses_the_bytes_it_hashes(self, tmp_path, monkeypatch):
+        # One read serves both the digest and the parse, so the record
+        # cannot hash one version of the file and check another.
+        path = tmp_path / "g5.dimacs"
+        build_counterexample(5, 3, 1, graph_out=path, with_upper_bound=False)
+        expected = canonical_json(certify_graph(path, 3).to_json_dict())
+
+        def no_text_reads(self, *args, **kwargs):
+            raise AssertionError(f"second read of {self}")
+
+        monkeypatch.setattr(Path, "read_text", no_text_reads)
+        assert canonical_json(certify_graph(path, 3).to_json_dict()) == expected
 
     def test_k33(self, tmp_path):
         path = tmp_path / "k33.dimacs"
