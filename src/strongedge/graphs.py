@@ -250,7 +250,7 @@ def girth(g: SimpleGraph) -> int | float:
     n = g.n_vertices
     adj = g._adj
     degree = [len(a) for a in adj]
-    deleted = [False] * n
+    deleted = bytearray(n)
     dist = [-1] * n
     parent_edge = [-1] * n
 
@@ -261,7 +261,7 @@ def girth(g: SimpleGraph) -> int | float:
             v = doomed.pop()
             if deleted[v]:
                 continue
-            deleted[v] = True
+            deleted[v] = 1
             for w, _eid in adj[v]:
                 if not deleted[w]:
                     degree[w] -= 1
