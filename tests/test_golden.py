@@ -21,6 +21,7 @@ import pytest
 from strongedge import (
     ConstructionFailedError,
     build_counterexample,
+    certify_graph,
     choose_n,
     conflict_graph,
     conjecture2_sweep,
@@ -122,6 +123,20 @@ RECORD = {
     6: "32e928c8e0972c277658d7fb4e5f56b8249cf1d4501a8a1c3765a13d3afade63",
 }
 
+# (k, girth target, with upper bound) -> digest of the seed-1 record whose
+# graph went to the relative path "g.dimacs"
+RECORD_WITH_PATH = {
+    (3, 5, False): "e64ce71913d84d78b56cd0f94c525e8952eda649e204f15a6fa660b7c8868a5d",
+    (4, 5, True): "f584b95bcc19c47486b2be742d7cf698197943756dca909a7fcea6fbafe7f34b",
+}
+
+# girth target -> digest of certify_graph's k=3 record on the seed-1 graph,
+# read from the relative path "g.dimacs"
+CERTIFY = {
+    5: "851a3c9b093bc8abd5b5ca3d1512e6d8a62f50a3ab3aa283aab966ce2a7a67f0",
+    6: "7cb18a67234bc446b24a74d56460d0c7661d8e4467f831159252294cc5c35710",
+}
+
 # first side size (None = floor) -> digest of conjecture2_sweep(3, 4, 4,
 # node_budget=5000) evidence
 SWEEP = {
@@ -204,6 +219,26 @@ def test_counterexample_record(g):
     record = build_counterexample(g, 3, 1)
     assert record.graph_path is None
     assert sha256(canonical_json(record.to_json_dict())) == RECORD[g]
+
+
+@pytest.mark.parametrize("case", sorted(RECORD_WITH_PATH), ids=lambda c: "k{}-g{}-ub{}".format(*c))
+def test_counterexample_record_with_graph_path(case, tmp_path, monkeypatch):
+    k, g, with_upper_bound = case
+    monkeypatch.chdir(tmp_path)
+    record = build_counterexample(
+        g, k, 1, graph_out="g.dimacs", with_upper_bound=with_upper_bound
+    )
+    assert record.graph_path == "g.dimacs"
+    assert sha256(canonical_json(record.to_json_dict())) == RECORD_WITH_PATH[case]
+
+
+@pytest.mark.parametrize("g", sorted(CERTIFY))
+def test_certify_record(g, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    graph, _ = generate(3, g, choose_n(3, g), 1)
+    (tmp_path / "g.dimacs").write_text(serialize_dimacs(graph))
+    record = certify_graph("g.dimacs", 3)
+    assert sha256(canonical_json(record.to_json_dict())) == CERTIFY[g]
 
 
 @pytest.mark.parametrize("n_start", [None, 10], ids=["floor", "forced-n10"])

@@ -74,6 +74,19 @@ class TestBuildCounterexample:
         assert data["upper_bound"] is None
         assert data["graph_path"] is None
 
+    def test_failed_check_writes_no_graph(self, tmp_path, monkeypatch):
+        # Every check runs before the graph file is written, so a graph
+        # that fails one leaves nothing behind.
+        import strongedge.pipeline
+
+        g = 5
+        monkeypatch.setattr(strongedge.pipeline, "girth", lambda graph: g - 1)
+        out = tmp_path / "graph.dimacs"
+        with pytest.raises(VerificationError) as exc:
+            build_counterexample(g, k=3, seed=1, graph_out=out)
+        assert exc.value.check == "girth"
+        assert not out.exists()
+
     def test_conclusion_mentions_the_bound(self):
         record = build_counterexample(4, k=3, seed=0, with_upper_bound=False)
         assert "at least 6" in record.conclusion
