@@ -42,9 +42,9 @@ from .graphs import (
     BipartiteGraph,
     ConflictGraph,
     SimpleGraph,
-    closed_edge_neighborhood,
     conflict_graph,
     distances_from,
+    edge_windows,
     girth,
 )
 from .pipeline import (

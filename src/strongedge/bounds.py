@@ -10,15 +10,17 @@ over all m edges gives the window identity
 for every color class C, hence |C| <= m / (2k - 1).  When 2k - 1 does not
 divide m the inequality is strict, which forces at least 2k colors.  This
 module packages that argument as a machine-checkable certificate and as
-per-coloring audit checks.
+per-coloring audit checks.  The audits take the windows N(e) from
+:func:`strongedge.graphs.edge_windows`, the one window mask the solver's
+clique bound also seeds from.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import IdentityViolationError, NotRegularError
-from .graphs import SimpleGraph, closed_edge_neighborhood
+from .graphs import SimpleGraph, edge_windows
 
 
 @dataclass(frozen=True)
@@ -38,15 +40,7 @@ class CountingCertificate:
     regularity_checked: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "m": self.m,
-            "window": self.window,
-            "max_class_size": self.max_class_size,
-            "divisible": self.divisible,
-            "chi_s_lower": self.chi_s_lower,
-            "regularity_checked": self.regularity_checked,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -112,11 +106,11 @@ def averaging_identity_check(g: SimpleGraph, coloring, color: int) -> tuple[int,
         raise ValueError(
             f"coloring covers {len(coloring.colors)} edges, graph has {len(eids)}"
         )
-    class_ids = {e for e, c in zip(eids, coloring.colors) if c == color}
-    lhs = (2 * k - 1) * len(class_ids)
+    members = sum(1 << i for i, c in enumerate(coloring.colors) if c == color)
+    lhs = (2 * k - 1) * members.bit_count()
     rhs = 0
-    for e in eids:
-        hits = len(class_ids & closed_edge_neighborhood(g, e))
+    for e, window in zip(eids, edge_windows(g.edges())):
+        hits = (members & window).bit_count()
         if hits > 1:
             u, v = g.endpoints(e)
             raise IdentityViolationError(
@@ -139,8 +133,6 @@ def check_class_sizes(g: SimpleGraph, k: int, coloring) -> ClassSizeReport:
     and is escalated by the caller.
     """
     cert = counting_certificate(g, k)
-    counts: dict[int, int] = {}
-    for c in coloring.colors:
-        counts[c] = counts.get(c, 0) + 1
+    counts = coloring.class_sizes()
     offenders = tuple(sorted(c for c, n in counts.items() if n > cert.max_class_size))
     return ClassSizeReport(counts=counts, cap=cert.max_class_size, offenders=offenders)

@@ -293,9 +293,18 @@ _HANDLERS = {
 }
 
 
+def _check_budgets(args) -> None:
+    """Reject a negative budget flag, also where the command ignores it."""
+    for name in ("budget_ms", "node_budget"):
+        value = getattr(args, name, None)
+        if value is not None and value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_budgets(args)
         return _HANDLERS[args.command](args)
     except VerificationError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)

@@ -1,6 +1,7 @@
 """Simple graphs with stable edge identities and the derived structures the
 rest of the package is built on: truncated BFS distances, girth
-computation, and the edge-conflict graph on which strong colorings live.
+computation, edge windows, and the edge-conflict graph on which strong
+colorings live.
 
 Vertices are dense 0-based indices.  A :class:`BipartiteGraph` keeps its left
 side on ``0..n_left-1`` and its right side on ``n_left..n_left+n_right-1``;
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DuplicateEdgeError, InternalInvariantError, InvalidEdgeError
 
@@ -299,14 +300,18 @@ def girth(g: SimpleGraph) -> int | float:
     return best
 
 
-def closed_edge_neighborhood(g: SimpleGraph, eid: int) -> set[int]:
-    """Ids of all edges sharing at least one endpoint with ``eid``, itself
-    included.  In a k-regular graph this set has size 2k-1.
+def edge_windows(endpoints: Sequence[tuple[int, int]]) -> list[int]:
+    """The window of each edge: its closed edge neighborhood as a bit mask.
+
+    Bit j of the i-th mask is set when edges i and j (positions in
+    ``endpoints``) share an endpoint, so bit i itself is set.  A window is a
+    clique of the conflict graph, with 2k-1 bits in a k-regular graph.
     """
-    u, v = g.endpoints(eid)
-    out = {e for _, e in g._adj[u]}
-    out.update(e for _, e in g._adj[v])
-    return out
+    incident: dict[int, int] = {}
+    for i, (u, v) in enumerate(endpoints):
+        incident[u] = incident.get(u, 0) | 1 << i
+        incident[v] = incident.get(v, 0) | 1 << i
+    return [incident[u] | incident[v] for u, v in endpoints]
 
 
 class ConflictGraph:

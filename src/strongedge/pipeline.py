@@ -5,7 +5,9 @@ The refutation pipeline is counting-based: the lower bound in a record
 always comes from the divisibility certificate, never from the solver (the
 solver contributes at most an optional greedy upper bound).  Every claim is
 recomputed from the graph itself with graph-core primitives; nothing is
-trusted from the generator.  Records embed the SHA-256 of the exact graph
+trusted from the generator.  A built graph and a graph read from a file go
+through one check path, which also builds the record, so both run the same
+checks in the same order.  Records embed the SHA-256 of the exact graph
 bytes so a claim is tied to one artifact.
 """
 
@@ -13,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from . import dimacs
@@ -49,20 +51,7 @@ class CounterexampleRecord:
     upper_bound: int | None = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "g": self.g,
-            "n": self.n,
-            "seed": self.seed,
-            "graph_path": self.graph_path,
-            "graph_sha256": self.graph_sha256,
-            "girth": self.girth,
-            "m": self.m,
-            "certificate": self.certificate.to_json_dict(),
-            "conjectured_bound": self.conjectured_bound,
-            "conclusion": self.conclusion,
-            "upper_bound": self.upper_bound,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -85,17 +74,7 @@ class Conjecture2Row:
         return self.status == "exact" and self.usage is not None and self.usage > self.cap
 
     def to_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "g": self.g,
-            "n": self.n,
-            "seed": self.seed,
-            "m": self.m,
-            "cap": self.cap,
-            "usage": self.usage,
-            "status": self.status,
-            "flagged": self.flagged,
-        }
+        return {**asdict(self), "flagged": self.flagged}
 
 
 @dataclass(frozen=True)
@@ -123,40 +102,6 @@ def canonical_json(obj: dict) -> str:
 def _check(name: str, condition: bool, detail: str) -> None:
     if not condition:
         raise VerificationError(name, detail)
-
-
-def _recompute_checks(
-    graph: SimpleGraph, k: int, girth_floor: int | None
-) -> tuple[int, int, CountingCertificate]:
-    """Re-derive every claimed property from the graph alone.
-
-    Returns (girth, m, certificate); raises :class:`VerificationError`
-    naming the first failing check.
-    """
-    try:
-        cert = counting_certificate(graph, k)
-    except NotRegularError as exc:
-        raise VerificationError("regularity", str(exc)) from None
-    edges = graph.edges()
-    normalized = {(u, v) if u < v else (v, u) for u, v in edges}
-    _check(
-        "simplicity",
-        len(normalized) == len(edges) and all(u != v for u, v in edges),
-        "duplicate edge or self-loop found",
-    )
-    girth_value = girth(graph)
-    if girth_floor is not None:
-        _check(
-            "girth",
-            girth_value >= girth_floor,
-            f"measured girth {girth_value} is below the floor {girth_floor}",
-        )
-    _check(
-        "divisibility",
-        not cert.divisible,
-        f"edge count {cert.m} is divisible by {cert.window}; no lower-bound certificate",
-    )
-    return int(girth_value), cert.m, cert
 
 
 def _verify_bipartite(graph: SimpleGraph) -> int:
@@ -187,14 +132,60 @@ def _verify_bipartite(graph: SimpleGraph) -> int:
     return n_left
 
 
-def _conclusion(cert: CountingCertificate, g_floor: int, girth_value: int) -> str:
+def _certify(
+    graph: SimpleGraph, k: int, g_floor: int | None, raw: bytes, **fields
+) -> CounterexampleRecord:
+    """Re-derive every claimed property from the graph alone; build its record.
+
+    Checks run in order: bipartiteness, regularity, simplicity, the girth
+    floor (the measured girth when ``g_floor`` is None), non-divisibility;
+    the first to fail raises :class:`VerificationError` naming it.  ``raw``
+    is the graph's exact bytes, hashed into the record; ``fields`` are the
+    record's ``seed`` and ``graph_path``.
+    """
+    n = _verify_bipartite(graph)
+    try:
+        cert = counting_certificate(graph, k)
+    except NotRegularError as exc:
+        raise VerificationError("regularity", str(exc)) from None
+    edges = graph.edges()
+    normalized = {(u, v) if u < v else (v, u) for u, v in edges}
+    _check(
+        "simplicity",
+        len(normalized) == len(edges) and all(u != v for u, v in edges),
+        "duplicate edge or self-loop found",
+    )
+    girth_value = girth(graph)
+    if g_floor is None:
+        g_floor = girth_value
+    _check(
+        "girth",
+        girth_value >= g_floor,
+        f"measured girth {girth_value} is below the floor {g_floor}",
+    )
     m, window = cert.m, cert.window
-    return (
-        f"{cert.k}-regular bipartite, measured girth {girth_value} >= {g_floor}, "
-        f"{m} edges with {m} mod {window} = {m % window} != 0, so every strong "
-        f"edge-coloring needs at least {cert.chi_s_lower} colors; this exceeds the "
-        f"conjectured bound of {window} colors at girth >= {g_floor} as "
-        f"constructed (no minimality claimed)"
+    _check(
+        "divisibility",
+        not cert.divisible,
+        f"edge count {m} is divisible by {window}; no lower-bound certificate",
+    )
+    return CounterexampleRecord(
+        k=k,
+        g=g_floor,
+        n=n,
+        graph_sha256=hashlib.sha256(raw).hexdigest(),
+        girth=girth_value,
+        m=m,
+        certificate=cert,
+        conjectured_bound=window,
+        conclusion=(
+            f"{k}-regular bipartite, measured girth {girth_value} >= {g_floor}, "
+            f"{m} edges with {m} mod {window} = {m % window} != 0, so every strong "
+            f"edge-coloring needs at least {cert.chi_s_lower} colors; this exceeds the "
+            f"conjectured bound of {window} colors at girth >= {g_floor} as "
+            f"constructed (no minimality claimed)"
+        ),
+        **fields,
     )
 
 
@@ -209,51 +200,27 @@ def build_counterexample(
     """Generate and independently certify a girth->chromatic counterexample.
 
     Picks n = choose_n(k, g), builds the graph, then recomputes every
-    property from scratch (girth, degrees, simplicity, divisibility) before
+    property from scratch (girth, degrees, simplicity, divisibility) on the
+    path :func:`certify_graph` takes before writing ``graph_out`` and
     emitting the record.  For k = 3 the record refutes the five-color bound
     for large-girth cubic bipartite graphs at girth g.
     """
     n = choose_n(k, g)
     graph, _trace = generate(k, g, n, seed)
-
     _check(
         "vertex-count",
         graph.n_vertices == 2 * n,
         f"expected {2 * n} vertices, found {graph.n_vertices}",
     )
-    _verify_bipartite(graph)
-    girth_value, m, cert = _recompute_checks(graph, k, g)
-    _check(
-        "certificate",
-        cert.chi_s_lower == 2 * k,
-        f"certificate lower bound {cert.chi_s_lower} != {2 * k}",
-    )
-
     text = serialize_dimacs(graph)
-    digest = hashlib.sha256(text.encode()).hexdigest()
-    path_str = None
+    graph_path = None if graph_out is None else str(graph_out)
+    record = _certify(graph, k, g, text.encode(), seed=seed, graph_path=graph_path)
     if graph_out is not None:
         Path(graph_out).write_text(text)
-        path_str = str(graph_out)
-
-    upper = None
     if with_upper_bound:
         upper = greedy_color(conflict_graph(graph)).n_colors
-
-    return CounterexampleRecord(
-        k=k,
-        g=g,
-        n=n,
-        seed=seed,
-        graph_path=path_str,
-        graph_sha256=digest,
-        girth=girth_value,
-        m=m,
-        certificate=cert,
-        conjectured_bound=cert.window,
-        conclusion=_conclusion(cert, g, girth_value),
-        upper_bound=upper,
-    )
+        record = replace(record, upper_bound=upper)
+    return record
 
 
 def certify_graph(path: str | Path, k: int) -> CounterexampleRecord:
@@ -268,22 +235,7 @@ def certify_graph(path: str | Path, k: int) -> CounterexampleRecord:
     # module, as load_dimacs looks it up, so a wrapper installed on
     # dimacs.parse_dimacs (perfbench's tracer) still sees this call.
     graph = dimacs.parse_dimacs(raw.decode())
-    n = _verify_bipartite(graph)
-    girth_value, m, cert = _recompute_checks(graph, k, None)
-    return CounterexampleRecord(
-        k=k,
-        g=girth_value,
-        n=n,
-        seed=None,
-        graph_path=str(path),
-        graph_sha256=hashlib.sha256(raw).hexdigest(),
-        girth=girth_value,
-        m=m,
-        certificate=cert,
-        conjectured_bound=cert.window,
-        conclusion=_conclusion(cert, girth_value, girth_value),
-        upper_bound=None,
-    )
+    return _certify(graph, k, None, raw, seed=None, graph_path=str(path))
 
 
 def conjecture2_sweep(

@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass
 
 from .errors import InternalInvariantError
-from .graphs import ConflictGraph, iter_bits
+from .graphs import ConflictGraph, edge_windows, iter_bits
 
 FOUND = "found"
 EXHAUSTED = "none"
@@ -311,17 +311,12 @@ def find_coloring(
 def _clique_lower_bound(cg: ConflictGraph) -> int:
     """Size of a large clique found greedily.
 
-    Each node's closed edge neighborhood is a clique (size 2k-1 in a
-    k-regular graph); every one is used as a seed and extended greedily by
-    common neighbors, highest conflict degree first.
+    Each node's window, its closed edge neighborhood, is a clique (size
+    2k-1 in a k-regular graph); every one is used as a seed and extended
+    greedily by common neighbors, highest conflict degree first.
     """
-    incident: dict[int, int] = {}
-    for i, (u, v) in enumerate(cg.endpoints):
-        incident[u] = incident.get(u, 0) | 1 << i
-        incident[v] = incident.get(v, 0) | 1 << i
     best = 0
-    for u, v in cg.endpoints:
-        clique = incident[u] | incident[v]
+    for clique in edge_windows(cg.endpoints):
         cand = ~0
         for j in iter_bits(clique):
             cand &= cg.adj[j]

@@ -218,12 +218,15 @@ class TestConjecture2Commands:
 
 class TestBudgetFlags:
     @pytest.mark.parametrize("flag", ["--node-budget", "--budget-ms"])
-    @pytest.mark.parametrize("command", ["solve", "conjecture2", "conjecture2-sweep"])
+    @pytest.mark.parametrize(
+        "command", ["solve", "solve --greedy", "conjecture2", "conjecture2-sweep"]
+    )
     def test_negative_budget_is_invalid_input(self, tmp_path, capsys, command, flag):
         path = tmp_path / "p4.dimacs"
         save_dimacs(path, path_graph(4))
         argv = {
             "solve": ["solve", path],
+            "solve --greedy": ["solve", path, "--greedy"],
             "conjecture2": ["conjecture2", path, "--k", 2],
             "conjecture2-sweep": ["conjecture2-sweep", "--k", 2, "--g", 4, "--count", 1],
         }[command]

@@ -9,9 +9,9 @@ from strongedge import (
     DuplicateEdgeError,
     InvalidEdgeError,
     SimpleGraph,
-    closed_edge_neighborhood,
     conflict_graph,
     distances_from,
+    edge_windows,
     generate,
     girth,
 )
@@ -390,23 +390,19 @@ class TestConflictGraph:
 
 class TestClosedEdgeNeighborhood:
     def test_c8_window_is_three(self):
-        g = bipartite_cycle(4)
-        for e in g.edge_ids():
-            assert len(closed_edge_neighborhood(g, e)) == 3  # 2k-1 at k=2
+        windows = edge_windows(bipartite_cycle(4).edges())
+        assert [w.bit_count() for w in windows] == [3] * 8  # 2k-1 at k=2
 
     def test_k33_window_is_five(self):
-        g = complete_bipartite(3, 3)
-        for e in g.edge_ids():
-            assert len(closed_edge_neighborhood(g, e)) == 5  # 2k-1 at k=3
+        windows = edge_windows(complete_bipartite(3, 3).edges())
+        assert [w.bit_count() for w in windows] == [5] * 9  # 2k-1 at k=3
 
     def test_star_leaf_edge(self):
-        g = star_graph(3)
-        assert len(closed_edge_neighborhood(g, 0)) == 3
+        assert edge_windows(star_graph(3).edges())[0].bit_count() == 3
 
     def test_includes_self(self):
-        g = bipartite_cycle(3)
-        for e in g.edge_ids():
-            assert e in closed_edge_neighborhood(g, e)
+        for i, window in enumerate(edge_windows(bipartite_cycle(3).edges())):
+            assert window >> i & 1
 
 
 class TestProperties:
@@ -433,9 +429,10 @@ class TestProperties:
     @settings(max_examples=60, deadline=None)
     def test_closed_neighborhood_is_clique(self, g):
         cg = conflict_graph(g)
-        pos = {e: i for i, e in enumerate(g.edge_ids())}
-        for e in g.edge_ids():
-            nodes = [pos[f] for f in closed_edge_neighborhood(g, e)]
+        edges = g.edges()
+        for e, window in enumerate(edge_windows(edges)):
+            nodes = list(iter_bits(window))
+            assert nodes == [f for f, pair in enumerate(edges) if set(pair) & set(edges[e])]
             for i in nodes:
                 for j in nodes:
                     assert i == j or adjacent(cg, i, j)
