@@ -91,6 +91,15 @@ GENERATE = {
         "92dddf28e1159dd82bee452b59ae4d854a967cf28885155cde21a9754627ea5d",
         "18d7d40ff1d5942ab5439c45b98c13da408e18c6c4969614114e8a6093e04de5",
     ),
+    # the only builds whose shuffles cross the 512 and 1024 length bands
+    (3, 9, 768, 1, False): (
+        "8270eef9e35213a60fa44f7efac607a8073587105752fe3ce959292ffa93a9ea",
+        "ad77e679ee0faa274ef81be7c20fb6980bb3e6696018bc4060c44287fc42ca55",
+    ),
+    (3, 10, 1536, 1, False): (
+        "7896a6fd9d07aaff577cd5b4fa4c88f9899ee9224124398977ed320505511793",
+        "a09f40b240d8d953961a35d13521eb5bfe5eeabdecc2ae6961dada2a39cd42c9",
+    ),
     (4, 5, 122, 0, False): (
         "8de052e386902d01ff3db86e6c2960f3f0275c7121ceb7f937fcc3de2690db24",
         "a5da6e9f4eecc8d31c38f12e50f7e393ec49636d483a9d37479c7543913a9df5",
