@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -123,17 +124,18 @@ class GeneratorTrace:
 class AugmentState:
     """Bookkeeping for one degree-raising level.
 
-    ``added`` holds the edge ids of A; ``x_low`` and ``y_low`` hold the
-    vertices of each side still at degree k-1 and satisfy
-    |x_low| == |y_low| throughout.
+    ``added`` holds the edge ids of A; ``x_low`` and ``y_low`` are sorted
+    lists of the vertices of each side still at degree k-1 and satisfy
+    |x_low| == |y_low| throughout.  Being sorted, they are the sequences
+    the seeded draws run on, with no sort per step.
     """
 
     graph: BipartiteGraph
     k: int
     girth_target: int
     added: set[int] = field(default_factory=set)
-    x_low: set[int] = field(default_factory=set)
-    y_low: set[int] = field(default_factory=set)
+    x_low: list[int] = field(default_factory=list)
+    y_low: list[int] = field(default_factory=list)
 
     @classmethod
     def from_graph(cls, graph: BipartiteGraph, k: int, girth_target: int) -> "AugmentState":
@@ -141,7 +143,7 @@ class AugmentState:
         for v in range(graph.n_vertices):
             d = graph.degree(v)
             if d == k - 1:
-                (state.x_low if graph.is_left(v) else state.y_low).add(v)
+                (state.x_low if graph.is_left(v) else state.y_low).append(v)
             elif d != k:
                 raise ValueError(
                     f"vertex {v} has degree {d}; expected {k - 1} or {k}"
@@ -154,8 +156,33 @@ class AugmentState:
         return state
 
     def _raise_low(self, x: int, y: int) -> None:
-        self.x_low.remove(x)
-        self.y_low.remove(y)
+        i, j = bisect_left(self.x_low, x), bisect_left(self.y_low, y)
+        if self.x_low[i : i + 1] != [x] or self.y_low[j : j + 1] != [y]:
+            raise InternalInvariantError(f"({x}, {y}) is not a pair of low vertices")
+        del self.x_low[i], self.y_low[j]
+
+
+def _shuffle(rng: random.Random, xs: list) -> None:
+    """Shuffle ``xs`` in place with exactly the draws and swaps of
+    ``random.Random.shuffle``.
+
+    That is a Fisher-Yates shuffle (Knuth's Algorithm P) whose draw below n
+    takes ``getrandbits(n.bit_length())`` until the value is below n.  Here
+    the draw is inlined and the bit count is set once per power-of-two band
+    of n, so the generator state after the call is the same as after the
+    library shuffle; a test holds the two to the same lists and states.
+    """
+    getrandbits = rng.getrandbits
+    top = len(xs) - 1
+    while top > 0:
+        k = (top + 1).bit_length()
+        bottom = (1 << (k - 1)) - 1
+        for i in range(top, bottom - 1, -1):
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            xs[i], xs[j] = xs[j], xs[i]
+        top = bottom - 1
 
 
 def _edge_keeps_girth(graph: BipartiteGraph, eid: int, girth_target: int) -> bool:
@@ -189,16 +216,20 @@ def _edge_keeps_girth(graph: BipartiteGraph, eid: int, girth_target: int) -> boo
 def find_distant_low_pair(state: AugmentState, rng: random.Random) -> tuple[int, int] | None:
     """Some low pair (x_l, y_l) at distance >= g-1, or None if none exists.
 
-    Low vertices are tried in seeded-random order; for each x_l one BFS to
-    depth g-2 finds its ball, and a uniformly random low y outside the ball
-    is taken.  Any vertex not reached within g-2 hops is at distance
-    >= g-1, which is exactly the admission threshold.
+    Low vertices are tried in seeded-random order; for each x_l one BFS
+    finds its ball, and a uniformly random low y outside the ball is taken.
+    Any vertex not reached within g-2 hops is at distance >= g-1, which is
+    exactly the admission threshold.  The BFS stops at the largest odd
+    depth <= g-2, which is (g-3) | 1: the graph is bipartite, so every y
+    lies at odd distance from x, and when g-2 is even the last layer holds
+    only left vertices and keeps no y out.
     """
-    xs = sorted(state.x_low)
-    rng.shuffle(xs)
-    ys = sorted(state.y_low)
+    xs = state.x_low.copy()
+    _shuffle(rng, xs)
+    ys = state.y_low
+    cutoff = (state.girth_target - 3) | 1
     for x in xs:
-        dist = distances_from(state.graph, [x], state.girth_target - 2)
+        dist = distances_from(state.graph, [x], cutoff)
         candidates = [y for y in ys if dist[y] < 0]
         if candidates:
             return x, rng.choice(candidates)
@@ -220,7 +251,7 @@ def find_swap_edge(
         raise InternalInvariantError("swap requested with no added edges")
     dist = distances_from(state.graph, [x_l, y_l], state.girth_target - 2)
     candidates = sorted(state.added)
-    rng.shuffle(candidates)
+    _shuffle(rng, candidates)
     for eid in candidates:
         u, v = state.graph.endpoints(eid)
         if dist[u] < 0 and dist[v] < 0:
@@ -275,8 +306,8 @@ def _raise_degree(graph: BipartiteGraph, k: int, girth_target: int, rng: random.
             state._raise_low(x_l, y_l)
             steps.append(AddStep(x_l, y_l))
         else:
-            x_l = rng.choice(sorted(state.x_low))
-            y_l = rng.choice(sorted(state.y_low))
+            x_l = rng.choice(state.x_low)
+            y_l = rng.choice(state.y_low)
             x_h, y_h = find_swap_edge(state, x_l, y_l, rng)
             apply_swap(state, x_l, y_l, x_h, y_h)
             steps.append(SwapStep(x_h, y_h, x_l, y_l))

@@ -31,10 +31,11 @@ from .solver import greedy_color, min_last_color_usage
 class CounterexampleRecord:
     """Machine-checkable refutation record.
 
-    Emitted only when regularity, bipartiteness, simplicity, the girth
-    floor, and the non-divisibility of the edge count all pass on
-    recomputation; the certificate then gives chi'_s >= 2k, one more than
-    the conjectured bound of 2k-1 colors at this girth.
+    Emitted only when regularity, bipartiteness, the girth floor, and the
+    non-divisibility of the edge count all pass on recomputation (the graph
+    type itself rules out duplicate edges and self-loops); the certificate
+    then gives chi'_s >= 2k, one more than the conjectured bound of 2k-1
+    colors at this girth.
     """
 
     k: int
@@ -137,9 +138,11 @@ def _certify(
 ) -> CounterexampleRecord:
     """Re-derive every claimed property from the graph alone; build its record.
 
-    Checks run in order: bipartiteness, regularity, simplicity, the girth
-    floor (the measured girth when ``g_floor`` is None), non-divisibility;
-    the first to fail raises :class:`VerificationError` naming it.  ``raw``
+    Checks run in order: bipartiteness, regularity, the girth floor (the
+    measured girth when ``g_floor`` is None), non-divisibility; the first to
+    fail raises :class:`VerificationError` naming it.  Simplicity needs no
+    check here: a graph cannot hold a duplicate edge or a self-loop, and
+    :func:`parse_dimacs` rejects a file that names one.  ``raw``
     is the graph's exact bytes, hashed into the record; ``fields`` are the
     record's ``seed`` and ``graph_path``.
     """
@@ -148,13 +151,6 @@ def _certify(
         cert = counting_certificate(graph, k)
     except NotRegularError as exc:
         raise VerificationError("regularity", str(exc)) from None
-    edges = graph.edges()
-    normalized = {(u, v) if u < v else (v, u) for u, v in edges}
-    _check(
-        "simplicity",
-        len(normalized) == len(edges) and all(u != v for u, v in edges),
-        "duplicate edge or self-loop found",
-    )
     girth_value = girth(graph)
     if g_floor is None:
         g_floor = girth_value
@@ -200,7 +196,7 @@ def build_counterexample(
     """Generate and independently certify a girth->chromatic counterexample.
 
     Picks n = choose_n(k, g), builds the graph, then recomputes every
-    property from scratch (girth, degrees, simplicity, divisibility) on the
+    property from scratch (girth, degrees, divisibility) on the
     path :func:`certify_graph` takes before writing ``graph_out`` and
     emitting the record.  For k = 3 the record refutes the five-color bound
     for large-girth cubic bipartite graphs at girth g.

@@ -21,7 +21,7 @@ from strongedge import (
     min_n,
     replay_trace,
 )
-from strongedge.generator import _raise_degree
+from strongedge.generator import _raise_degree, _shuffle
 
 
 def apply_prefix(trace, t):
@@ -111,6 +111,51 @@ class TestFindDistantLowPair:
         assert graph.edge_id(x, y) is None
 
 
+class TestShuffle:
+    LENGTHS = sorted(
+        set(range(71))
+        | {2**j + d for j in range(12) for d in (-1, 0, 1)}
+        | {1536}
+    )
+
+    def test_stdlib_draws_below_n_with_getrandbits(self):
+        # _shuffle inlines this method; a CPython that draws differently
+        # moves every generator golden, and this names the cause
+        assert random.Random._randbelow is random.Random._randbelow_with_getrandbits, (
+            "random.Random._randbelow no longer draws with getrandbits; "
+            "_shuffle no longer reproduces random.Random.shuffle"
+        )
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_same_list_and_state_as_stdlib_shuffle(self, seed):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for n in self.LENGTHS:
+            xs, ys = list(range(n)), list(range(n))
+            _shuffle(ours, xs)
+            theirs.shuffle(ys)
+            assert xs == ys, n
+            assert ours.getstate() == theirs.getstate(), n
+
+
+class TestRaiseLow:
+    def test_removes_exactly_the_pair(self):
+        graph = base_cycle(6)
+        state = AugmentState.from_graph(graph, 3, 4)
+        state._raise_low(2, 6 + 4)
+        assert state.x_low == [0, 1, 3, 4, 5]
+        assert state.y_low == [6, 7, 8, 9, 11]
+
+    @pytest.mark.parametrize("pair", [(2, 6 + 4), (3, 6 + 4), (2, 6 + 5), (6, 6 + 4)])
+    def test_vertex_that_is_not_low_is_loud(self, pair):
+        graph = base_cycle(6)
+        state = AugmentState.from_graph(graph, 3, 4)
+        state._raise_low(2, 6 + 4)
+        before = (state.x_low.copy(), state.y_low.copy())
+        with pytest.raises(InternalInvariantError):
+            state._raise_low(*pair)
+        assert (state.x_low, state.y_low) == before
+
+
 class TestSwap:
     def build_scripted_state(self):
         # C24 with two added edges; exactly one of them is far from the
@@ -121,8 +166,7 @@ class TestSwap:
         far = graph.add_edge(8, 12 + 11)
         state.added.update((near, far))
         for u, v in (graph.endpoints(near), graph.endpoints(far)):
-            state.x_low.discard(u)
-            state.y_low.discard(v)
+            state._raise_low(u, v)
         return graph, state, near, far
 
     def test_exactly_one_far_edge_is_found(self):

@@ -165,6 +165,17 @@ class TestCertify:
         with pytest.raises(DimacsParseError):
             certify_graph(path, 3)
 
+    @pytest.mark.parametrize("extra", ["e 1 9\n", "e 9 1\n", "e 3 3\n"])
+    def test_non_simple_file_never_reaches_the_checks(self, tmp_path, extra):
+        # _certify has no simplicity check: the reader refuses the file first
+        from strongedge import DimacsParseError
+
+        text = serialize_dimacs(heawood_graph()).replace("p edge 14 21", "p edge 14 22")
+        path = tmp_path / "multi.dimacs"
+        path.write_text(text + extra)
+        with pytest.raises(DimacsParseError):
+            certify_graph(path, 3)
+
 
 class TestSweep:
     def test_k2_cycle_scale(self):
