@@ -196,9 +196,9 @@ def build_counterexample(
     """Generate and independently certify a girth->chromatic counterexample.
 
     Picks n = choose_n(k, g), builds the graph, then recomputes every
-    property from scratch (girth, degrees, divisibility) on the
-    path :func:`certify_graph` takes before writing ``graph_out`` and
-    emitting the record.  For k = 3 the record refutes the five-color bound
+    property from scratch (girth, degrees, divisibility) on the path
+    :func:`certify_graph` takes before writing ``graph_out`` and emitting
+    the record.  For k = 3 the record refutes the five-color bound
     for large-girth cubic bipartite graphs at girth g.
     """
     n = choose_n(k, g)
