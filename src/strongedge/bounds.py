@@ -59,6 +59,8 @@ class ClassSizeReport:
 def _require_regular(g: SimpleGraph, k: int) -> None:
     if k < 2:
         raise ValueError(f"degree must be >= 2, got {k}")
+    if g.n_vertices == 0:
+        raise NotRegularError("graph has no vertices; the bound needs an edge")
     bad = next((v for v in range(g.n_vertices) if g.degree(v) != k), None)
     if bad is not None:
         raise NotRegularError(
@@ -69,8 +71,9 @@ def _require_regular(g: SimpleGraph, k: int) -> None:
 def counting_certificate(g: SimpleGraph, k: int) -> CountingCertificate:
     """Build the window-counting certificate for a simple k-regular graph.
 
-    Raises :class:`NotRegularError` if any vertex degree differs from k;
-    the bound does not apply to irregular graphs.
+    Raises :class:`NotRegularError` if any vertex degree differs from k or
+    there is no vertex; the bound does not apply to irregular graphs, and an
+    empty one has no edge window to count.
     """
     _require_regular(g, k)
     m = g.n_edges
@@ -101,18 +104,17 @@ def averaging_identity_check(g: SimpleGraph, coloring, color: int) -> tuple[int,
         raise ValueError("graph has no vertices")
     k = degs[0]
     _require_regular(g, k)
-    eids = g.edge_ids()
-    if len(coloring.colors) != len(eids):
+    edges = g.edges()
+    if len(coloring.colors) != len(edges):
         raise ValueError(
-            f"coloring covers {len(coloring.colors)} edges, graph has {len(eids)}"
+            f"coloring covers {len(coloring.colors)} edges, graph has {len(edges)}"
         )
     members = sum(1 << i for i, c in enumerate(coloring.colors) if c == color)
     lhs = (2 * k - 1) * members.bit_count()
     rhs = 0
-    for e, window in zip(eids, edge_windows(g.edges())):
+    for e, ((u, v), window) in enumerate(zip(edges, edge_windows(edges))):
         hits = (members & window).bit_count()
         if hits > 1:
-            u, v = g.endpoints(e)
             raise IdentityViolationError(
                 f"color {color} appears {hits} times in the closed neighborhood "
                 f"of edge {e} = ({u}, {v})"

@@ -10,7 +10,7 @@ class DuplicateEdgeError(StrongEdgeError, ValueError):
 
 
 class InvalidEdgeError(StrongEdgeError, ValueError):
-    """An edge id is out of range or refers to a removed edge."""
+    """An edge that is not present was removed."""
 
 
 class NotRegularError(StrongEdgeError, ValueError):

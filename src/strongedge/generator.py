@@ -124,7 +124,9 @@ class GeneratorTrace:
 class AugmentState:
     """Bookkeeping for one degree-raising level.
 
-    ``added`` holds the edge ids of A; ``x_low`` and ``y_low`` are sorted
+    ``added`` holds the edges of A as (left, right) pairs in a dict used
+    as an ordered set; its order, the graph's edge order, is the sequence
+    the seeded swap draw shuffles.  ``x_low`` and ``y_low`` are sorted
     lists of the vertices of each side still at degree k-1 and satisfy
     |x_low| == |y_low| throughout.  Being sorted, they are the sequences
     the seeded draws run on, with no sort per step.
@@ -133,7 +135,7 @@ class AugmentState:
     graph: BipartiteGraph
     k: int
     girth_target: int
-    added: set[int] = field(default_factory=set)
+    added: dict[tuple[int, int], None] = field(default_factory=dict)
     x_low: list[int] = field(default_factory=list)
     y_low: list[int] = field(default_factory=list)
 
@@ -185,14 +187,13 @@ def _shuffle(rng: random.Random, xs: list) -> None:
         top = bottom - 1
 
 
-def _edge_keeps_girth(graph: BipartiteGraph, eid: int, girth_target: int) -> bool:
-    """True iff every cycle through edge ``eid`` has length >= girth_target.
+def _edge_keeps_girth(graph: BipartiteGraph, u: int, v: int, girth_target: int) -> bool:
+    """True iff every cycle through edge ``{u, v}`` has length >= girth_target.
 
     A cycle through the edge closes a path between its endpoints avoiding
     it, so a single BFS from one endpoint that skips the edge and stops at
     depth girth_target - 2 decides the question exactly.
     """
-    u, v = graph.endpoints(eid)
     cutoff = girth_target - 2
     if cutoff < 1:
         return True
@@ -203,8 +204,8 @@ def _edge_keeps_girth(graph: BipartiteGraph, eid: int, girth_target: int) -> boo
         da = dist[a]
         if da >= cutoff:
             continue
-        for b, e in graph._adj[a]:
-            if e == eid or b in dist:
+        for b in graph._adj[a]:
+            if b in dist or (a == u and b == v):
                 continue
             if b == v:
                 return False
@@ -240,7 +241,7 @@ def find_swap_edge(
     state: AugmentState, x_l: int, y_l: int, rng: random.Random
 ) -> tuple[int, int]:
     """An added edge (x_h, y_h) with all four distances to {x_l, y_l} at
-    least g-1.
+    least g-1, drawn by shuffling ``state.added`` in its order.
 
     Above the parameter floor such an edge always exists once no distant
     low pair does (the added edges outnumber the ones close to the low
@@ -250,12 +251,11 @@ def find_swap_edge(
     if not state.added:
         raise InternalInvariantError("swap requested with no added edges")
     dist = distances_from(state.graph, [x_l, y_l], state.girth_target - 2)
-    candidates = sorted(state.added)
+    candidates = list(state.added)
     _shuffle(rng, candidates)
-    for eid in candidates:
-        u, v = state.graph.endpoints(eid)
-        if dist[u] < 0 and dist[v] < 0:
-            return (u, v) if state.graph.is_left(u) else (v, u)
+    for x_h, y_h in candidates:
+        if dist[x_h] < 0 and dist[y_h] < 0:
+            return x_h, y_h
     raise InternalInvariantError(
         f"no swap edge among {len(state.added)} added edges is distant from "
         f"({x_l}, {y_l}); the counting guarantee was violated"
@@ -270,16 +270,16 @@ def apply_swap(state: AugmentState, x_l: int, y_l: int, x_h: int, y_h: int) -> N
     edges keep the girth at the target.
     """
     graph = state.graph
-    eid = graph.edge_id(x_h, y_h)
-    if eid is None or eid not in state.added:
+    if (x_h, y_h) not in state.added:
         raise ValueError(f"({x_h}, {y_h}) is not a currently added edge")
-    graph.remove_edge(eid)
-    state.added.discard(eid)
-    e1 = graph.add_edge(x_l, y_h)
-    e2 = graph.add_edge(y_l, x_h)
-    state.added.update((e1, e2))
-    if not _edge_keeps_girth(graph, e1, state.girth_target) or not _edge_keeps_girth(
-        graph, e2, state.girth_target
+    graph.remove_edge(x_h, y_h)
+    del state.added[x_h, y_h]
+    graph.add_edge(x_l, y_h)
+    graph.add_edge(y_l, x_h)
+    state.added[x_l, y_h] = None
+    state.added[x_h, y_l] = None
+    if not _edge_keeps_girth(graph, x_l, y_h, state.girth_target) or not _edge_keeps_girth(
+        graph, x_h, y_l, state.girth_target
     ):
         raise InternalInvariantError(
             f"girth dropped below {state.girth_target} after swapping out "
@@ -301,8 +301,8 @@ def _raise_degree(graph: BipartiteGraph, k: int, girth_target: int, rng: random.
         pair = find_distant_low_pair(state, rng)
         if pair is not None:
             x_l, y_l = pair
-            eid = graph.add_edge(x_l, y_l)
-            state.added.add(eid)
+            graph.add_edge(x_l, y_l)
+            state.added[x_l, y_l] = None
             state._raise_low(x_l, y_l)
             steps.append(AddStep(x_l, y_l))
         else:
@@ -318,7 +318,6 @@ def _raise_degree(graph: BipartiteGraph, k: int, girth_target: int, rng: random.
         )
     if girth(graph) < girth_target:
         raise InternalInvariantError("final girth check failed after augmentation")
-    graph.compact()
     return steps
 
 
@@ -374,22 +373,22 @@ def replay_trace(trace: GeneratorTrace) -> BipartiteGraph:
         raise InternalInvariantError("base cycle shorter than the girth target")
     for idx, step in enumerate(trace.steps):
         if isinstance(step, AddStep):
-            new_edges = [graph.add_edge(step.x, step.y)]
+            new_edges = ((step.x, step.y),)
         else:
-            eid = graph.edge_id(step.x_high, step.y_high)
-            if eid is None:
+            if not graph.has_edge(step.x_high, step.y_high):
                 raise InternalInvariantError(
                     f"step {idx}: swap removes missing edge "
                     f"({step.x_high}, {step.y_high})"
                 )
-            graph.remove_edge(eid)
-            new_edges = [graph.add_edge(a, b) for a, b in step.added]
-        for eid in new_edges:
-            if not _edge_keeps_girth(graph, eid, trace.g):
+            graph.remove_edge(step.x_high, step.y_high)
+            new_edges = step.added
+        for u, v in new_edges:
+            graph.add_edge(u, v)
+        for u, v in new_edges:
+            if not _edge_keeps_girth(graph, u, v, trace.g):
                 raise InternalInvariantError(
                     f"step {idx}: girth dropped below {trace.g}"
                 )
-            u, v = graph.endpoints(eid)
             if graph.degree(u) > trace.k or graph.degree(v) > trace.k:
                 raise InternalInvariantError(f"step {idx}: degree exceeds {trace.k}")
     if not graph.is_regular(trace.k):

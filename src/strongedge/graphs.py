@@ -1,15 +1,14 @@
-"""Simple graphs with stable edge identities and the derived structures the
-rest of the package is built on: truncated BFS distances, girth
-computation, edge windows, and the edge-conflict graph on which strong
-colorings live.
+"""Simple graphs and the derived structures the rest of the package is
+built on: truncated BFS distances, girth computation, edge windows, and
+the edge-conflict graph on which strong colorings live.
 
 Vertices are dense 0-based indices.  A :class:`BipartiteGraph` keeps its left
 side on ``0..n_left-1`` and its right side on ``n_left..n_left+n_right-1``;
 text serialization (:mod:`strongedge.dimacs`) shifts everything to 1-based.
 
-Edge ids are stable under deletion: removing an edge leaves a tombstone, so
-ids held elsewhere (colorings, construction traces) stay valid until
-:meth:`SimpleGraph.compact` renumbers them explicitly.
+An edge is named by its endpoints.  :meth:`SimpleGraph.edges` keeps
+insertion order: removing an edge keeps the order of the rest, re-adding
+it puts it last, and that order is the conflict graph's node order.
 """
 
 from __future__ import annotations
@@ -42,17 +41,15 @@ class SimpleGraph:
         if n_vertices < 0:
             raise ValueError(f"vertex count must be >= 0, got {n_vertices}")
         self.n_vertices = n_vertices
-        # edge id -> (u, v), or None for a removed (tombstoned) edge
-        self._endpoints: list[tuple[int, int] | None] = []
-        # vertex -> list of (neighbor, edge id)
-        self._adj: list[list[tuple[int, int]]] = [[] for _ in range(n_vertices)]
-        self._pair_to_eid: dict[tuple[int, int], int] = {}
-        self._n_live = 0
+        # (low, high) -> the pair as inserted, in insertion order
+        self._edges: dict[tuple[int, int], tuple[int, int]] = {}
+        # vertex -> neighbors, in the insertion order of the joining edges
+        self._adj: list[list[int]] = [[] for _ in range(n_vertices)]
 
     # -- construction -------------------------------------------------
 
-    def add_edge(self, u: int, v: int) -> int:
-        """Insert edge ``{u, v}`` and return its id.
+    def add_edge(self, u: int, v: int) -> None:
+        """Insert edge ``{u, v}``.
 
         Raises :class:`DuplicateEdgeError` if the pair is already present.
         """
@@ -60,79 +57,37 @@ class SimpleGraph:
         self._check_vertex(v)
         if u == v:
             raise ValueError(f"self-loop at vertex {u} is not allowed")
-        return self._insert(u, v)
+        self._insert(u, v)
 
-    def _insert(self, u: int, v: int) -> int:
+    def _insert(self, u: int, v: int) -> None:
         key = (u, v) if u < v else (v, u)
-        if key in self._pair_to_eid:
+        if key in self._edges:
             raise DuplicateEdgeError(f"edge ({u}, {v}) already present")
-        eid = len(self._endpoints)
-        self._endpoints.append((u, v))
-        self._adj[u].append((v, eid))
-        self._adj[v].append((u, eid))
-        self._pair_to_eid[key] = eid
-        self._n_live += 1
-        return eid
+        self._edges[key] = (u, v)
+        self._adj[u].append(v)
+        self._adj[v].append(u)
 
-    def remove_edge(self, eid: int) -> None:
-        """Tombstone edge ``eid``; all other edge ids remain valid."""
-        u, v = self.endpoints(eid)
-        self._adj[u] = [(w, e) for (w, e) in self._adj[u] if e != eid]
-        self._adj[v] = [(w, e) for (w, e) in self._adj[v] if e != eid]
-        del self._pair_to_eid[(u, v) if u < v else (v, u)]
-        self._endpoints[eid] = None
-        self._n_live -= 1
-
-    def compact(self) -> dict[int, int]:
-        """Renumber edge ids densely, dropping tombstones.
-
-        Returns the old-id -> new-id map for live edges.
-        """
-        remap: dict[int, int] = {}
-        endpoints: list[tuple[int, int] | None] = []
-        for old, pair in enumerate(self._endpoints):
-            if pair is None:
-                continue
-            remap[old] = len(endpoints)
-            endpoints.append(pair)
-        self._endpoints = endpoints
-        self._adj = [[] for _ in range(self.n_vertices)]
-        self._pair_to_eid = {}
-        for eid, (u, v) in enumerate(endpoints):
-            self._adj[u].append((v, eid))
-            self._adj[v].append((u, eid))
-            self._pair_to_eid[(u, v) if u < v else (v, u)] = eid
-        return remap
+    def remove_edge(self, u: int, v: int) -> None:
+        """Delete edge ``{u, v}``; raises :class:`InvalidEdgeError` if absent."""
+        if self._edges.pop((u, v) if u < v else (v, u), None) is None:
+            raise InvalidEdgeError(f"edge ({u}, {v}) is not present")
+        self._adj[u].remove(v)
+        self._adj[v].remove(u)
 
     # -- queries ------------------------------------------------------
 
     @property
     def n_edges(self) -> int:
-        """Number of live (non-tombstoned) edges."""
-        return self._n_live
+        return len(self._edges)
 
-    def endpoints(self, eid: int) -> tuple[int, int]:
-        if not 0 <= eid < len(self._endpoints):
-            raise InvalidEdgeError(f"edge id {eid} out of range")
-        pair = self._endpoints[eid]
-        if pair is None:
-            raise InvalidEdgeError(f"edge id {eid} refers to a removed edge")
-        return pair
-
-    def edge_id(self, u: int, v: int) -> int | None:
-        """Return the id of edge ``{u, v}`` or None if absent."""
-        return self._pair_to_eid.get((u, v) if u < v else (v, u))
-
-    def edge_ids(self) -> list[int]:
-        """Live edge ids in ascending order."""
-        return [e for e, pair in enumerate(self._endpoints) if pair is not None]
+    def has_edge(self, u: int, v: int) -> bool:
+        return ((u, v) if u < v else (v, u)) in self._edges
 
     def edges(self) -> list[tuple[int, int]]:
-        """Live endpoint pairs in edge-id order."""
-        return [pair for pair in self._endpoints if pair is not None]
+        """Endpoint pairs, as inserted, in insertion order."""
+        return list(self._edges.values())
 
-    def neighbors(self, v: int) -> list[tuple[int, int]]:
-        """List of (neighbor, edge id) pairs incident to ``v``."""
+    def neighbors(self, v: int) -> list[int]:
         self._check_vertex(v)
         return list(self._adj[v])
 
@@ -151,23 +106,13 @@ class SimpleGraph:
             raise ValueError(f"vertex {v} out of range [0, {self.n_vertices})")
 
     def check_consistent(self) -> None:
-        """Check that the adjacency and edge list agree (used by audits/tests).
-
-        Raises :class:`InternalInvariantError` naming the first mismatch.
-        """
-        count = 0
-        for eid, pair in enumerate(self._endpoints):
-            if pair is None:
-                continue
-            count += 1
-            u, v = pair
-            for a, b in ((u, v), (v, u)):
-                if (b, eid) not in self._adj[a]:
-                    raise InternalInvariantError(f"edge {eid} missing from adj[{a}]")
-        if count != self._n_live:
-            raise InternalInvariantError(f"{count} live edges, counter says {self._n_live}")
-        if sum(len(a) for a in self._adj) != 2 * self._n_live:
-            raise InternalInvariantError("adjacency lists and live edge count disagree")
+        """Raise :class:`InternalInvariantError` naming the first mismatch
+        unless the adjacency lists hold exactly the edges (used by tests)."""
+        for u, v in self._edges.values():
+            if v not in self._adj[u] or u not in self._adj[v]:
+                raise InternalInvariantError(f"edge ({u}, {v}) missing from the adjacency lists")
+        if sum(len(a) for a in self._adj) != 2 * len(self._edges):
+            raise InternalInvariantError("adjacency lists and edge count disagree")
 
 
 class BipartiteGraph(SimpleGraph):
@@ -186,15 +131,15 @@ class BipartiteGraph(SimpleGraph):
         self.n_left = n_left
         self.n_right = n_right
 
-    def add_edge(self, u: int, v: int) -> int:
+    def add_edge(self, u: int, v: int) -> None:
         """Insert the edge joining global vertices ``u`` and ``v``, which must
-        lie on opposite sides, and return its id.
+        lie on opposite sides.
 
         The endpoints are stored left first.
         """
         if self.is_left(u) == self.is_left(v):
             raise ValueError(f"vertices {u} and {v} are on the same side")
-        return self._insert(u, v) if u < v else self._insert(v, u)
+        self._insert(min(u, v), max(u, v))
 
     def is_left(self, v: int) -> bool:
         self._check_vertex(v)
@@ -225,7 +170,7 @@ def distances_from(g: SimpleGraph, sources: Iterable[int], cutoff: int) -> list[
         du = dist[u]
         if du >= cutoff:
             continue
-        for w, _eid in g._adj[u]:
+        for w in g._adj[u]:
             if dist[w] < 0:
                 dist[w] = du + 1
                 queue.append(w)
@@ -253,7 +198,7 @@ def girth(g: SimpleGraph) -> int | float:
     degree = [len(a) for a in adj]
     deleted = bytearray(n)
     dist = [-1] * n
-    parent_edge = [-1] * n
+    parent = [-1] * n
 
     def peel(doomed: list[int]) -> None:
         """Delete the doomed vertices, dooming each neighbor whose remaining
@@ -263,7 +208,7 @@ def girth(g: SimpleGraph) -> int | float:
             if deleted[v]:
                 continue
             deleted[v] = 1
-            for w, _eid in adj[v]:
+            for w in adj[v]:
                 if not deleted[w]:
                     degree[w] -= 1
                     if degree[w] == 1:
@@ -282,12 +227,14 @@ def girth(g: SimpleGraph) -> int | float:
             # vertex can improve `best`.
             if 2 * du >= best:
                 break
-            for w, eid in adj[u]:
-                if eid == parent_edge[u] or deleted[w]:
+            for w in adj[u]:
+                # a simple graph has one edge to the parent: skipping the
+                # parent vertex skips exactly the edge the BFS came along
+                if w == parent[u] or deleted[w]:
                     continue
                 if dist[w] < 0:
                     dist[w] = du + 1
-                    parent_edge[w] = eid
+                    parent[w] = u
                     queue.append(w)
                 else:
                     cand = du + dist[w] + 1
@@ -295,7 +242,7 @@ def girth(g: SimpleGraph) -> int | float:
                         best = cand
         for u in queue:
             dist[u] = -1
-            parent_edge[u] = -1
+            parent[u] = -1
         peel([root])
     return best
 
@@ -317,10 +264,10 @@ def edge_windows(endpoints: Sequence[tuple[int, int]]) -> list[int]:
 class ConflictGraph:
     """The strong-coloring conflict structure of a graph.
 
-    One node per live edge (in edge-id order), with ``endpoints[i]`` the
-    edge's vertex pair; two nodes are adjacent exactly when the edges share
-    an endpoint or some edge joins an endpoint of one to an endpoint of the
-    other.  Strong edge-colorings of the source graph are precisely the
+    One node per edge, in :meth:`SimpleGraph.edges` order, with
+    ``endpoints[i]`` the edge's vertex pair; two nodes are adjacent exactly
+    when the edges share an endpoint or some edge joins an endpoint of one
+    to an endpoint of the other.  Strong edge-colorings of the source graph are precisely the
     proper vertex colorings of this graph.
 
     Adjacency is stored as one bit row per node (bit ``j`` of ``adj[i]`` set
@@ -358,9 +305,9 @@ def conflict_graph(g: SimpleGraph) -> ConflictGraph:
         # u and v are neighbors of each other, so this covers the edges
         # sharing an endpoint as well as those joined by an edge.
         mask = 0
-        for w, _ in g._adj[u]:
+        for w in g._adj[u]:
             mask |= incident[w]
-        for w, _ in g._adj[v]:
+        for w in g._adj[v]:
             mask |= incident[w]
         adj.append(mask & ~(1 << i))
     return ConflictGraph(endpoints, adj, tuple(a.bit_count() for a in adj))

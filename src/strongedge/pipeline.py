@@ -119,7 +119,7 @@ def _verify_bipartite(graph: SimpleGraph) -> int:
         stack = [start]
         while stack:
             u = stack.pop()
-            for w, _ in graph.neighbors(u):
+            for w in graph.neighbors(u):
                 if side[w] < 0:
                     side[w] = 1 - side[u]
                     stack.append(w)

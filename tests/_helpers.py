@@ -107,16 +107,15 @@ def cli_env() -> dict[str, str]:
 def brute_girth(g: SimpleGraph) -> int | float:
     """Reference girth: min over edges of 1 + shortest path avoiding it."""
     best: int | float = math.inf
-    for eid in g.edge_ids():
-        u, v = g.endpoints(eid)
+    for u, v in g.edges():
         dist = {u: 0}
         queue = deque([u])
         while queue:
             a = queue.popleft()
             if a == v:
                 break
-            for b, e in g.neighbors(a):
-                if e != eid and b not in dist:
+            for b in g.neighbors(a):
+                if (a, b) != (u, v) and b not in dist:
                     dist[b] = dist[a] + 1
                     queue.append(b)
         if v in dist:
@@ -125,14 +124,15 @@ def brute_girth(g: SimpleGraph) -> int | float:
 
 
 def conflicts_by_definition(g: SimpleGraph, e: int, f: int) -> bool:
-    """Direct check: edges share an endpoint, or some edge joins them."""
+    """Direct check that edges e and f (positions in ``g.edges()``) share an
+    endpoint, or some edge joins them."""
     if e == f:
         return False
-    a, b = g.endpoints(e)
-    c, d = g.endpoints(f)
+    edges = g.edges()
+    (a, b), (c, d) = edges[e], edges[f]
     if {a, b} & {c, d}:
         return True
-    for u, v in g.edges():
+    for u, v in edges:
         if {u, v} <= {a, b} | {c, d} and len({u, v} & {a, b}) == 1:
             return True
     return False

@@ -128,7 +128,7 @@ def test_criterion_2_generator_properties():
                         failures.append(f"{label}: girth below target")
                     # per-step debug replay re-checks girth after every step
                     replayed = replay_trace(trace)
-                    if sorted(replayed.edges()) != sorted(graph.edges()):
+                    if replayed.edges() != graph.edges():
                         failures.append(f"{label}: replay mismatch")
     assert not failures, failures
 

@@ -3,6 +3,7 @@ import pytest
 from strongedge import (
     IdentityViolationError,
     NotRegularError,
+    SimpleGraph,
     StrongColoring,
     averaging_identity_check,
     brute_force_chi_s,
@@ -52,6 +53,11 @@ class TestCertificate:
             counting_certificate(star_graph(3), 3)
         with pytest.raises(NotRegularError):
             counting_certificate(heawood_graph(), 2)
+
+    def test_empty_graph_rejected(self):
+        # no edge, so no window clique: chi_s is 0 and no bound may be claimed
+        with pytest.raises(NotRegularError):
+            counting_certificate(SimpleGraph(0), 3)
 
     def test_json_fields_exact(self):
         cert = counting_certificate(heawood_graph(), 3)

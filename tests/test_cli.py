@@ -170,6 +170,12 @@ class TestCertifyCommand:
         assert run("certify", path, "--k", 2) == 3
         assert "divisibility" in capsys.readouterr().err
 
+    def test_empty_graph_fails_regularity(self, tmp_path, capsys):
+        path = tmp_path / "empty.dimacs"
+        path.write_text("p edge 0 0\n")
+        assert run("certify", path, "--k", 3) == 3
+        assert "regularity" in capsys.readouterr().err
+
     def test_degree_below_two_is_invalid_input(self, tmp_path, capsys):
         path = tmp_path / "hw.dimacs"
         save_dimacs(path, heawood_graph())

@@ -105,7 +105,7 @@ class TestSerialize:
 
     def test_round_trip_with_tombstones(self):
         g = bipartite_cycle(4)
-        g.remove_edge(0)
+        g.remove_edge(*g.edges()[0])
         back = parse_dimacs(serialize_dimacs(g))
         assert back.n_edges == 7
         assert normalized_edges(back) == normalized_edges(g)

@@ -86,8 +86,9 @@ class TestConstruction:
 
     def test_single_edge_capable(self):
         g = BipartiteGraph(1, 1)
-        assert g.add_edge(0, 1) == 0
+        g.add_edge(0, 1)
         assert g.n_edges == 1
+        assert g.has_edge(1, 0)
 
     def test_shell_for_girth5_cubic(self):
         g = BipartiteGraph(48, 48)
@@ -97,10 +98,6 @@ class TestConstruction:
     def test_zero_side_rejected(self, sides):
         with pytest.raises(ValueError):
             BipartiteGraph(*sides)
-
-    def test_first_edge_id_is_zero(self):
-        g = BipartiteGraph(2, 2)
-        assert g.add_edge(0, 2) == 0
 
     def test_duplicate_edge_rejected(self):
         g = BipartiteGraph(2, 2)
@@ -136,62 +133,56 @@ class TestConstruction:
 
     def test_endpoints_stored_left_first(self):
         g = BipartiteGraph(2, 3)
-        e = g.add_edge(4, 1)
-        assert g.endpoints(e) == (1, 4)
+        g.add_edge(4, 1)
         assert g.edges() == [(1, 4)]
-        assert g.edge_id(4, 1) == g.edge_id(1, 4) == e
+        assert g.has_edge(4, 1) and g.has_edge(1, 4)
+        assert g.neighbors(4) == [1] and g.neighbors(1) == [4]
 
 
 class TestRemoval:
     def test_remove_only_edge(self):
         g = BipartiteGraph(1, 1)
-        e = g.add_edge(0, 1)
-        g.remove_edge(e)
+        g.add_edge(0, 1)
+        g.remove_edge(1, 0)
         assert g.n_edges == 0
+        assert not g.has_edge(0, 1)
         g.check_consistent()
 
-    def test_remove_then_readd_gets_fresh_id(self):
-        g = BipartiteGraph(2, 2)
-        e = g.add_edge(0, 3)
-        g.remove_edge(e)
-        e2 = g.add_edge(0, 3)
-        assert e2 != e
-        assert g.n_edges == 1
+    def test_readd_moves_to_the_end(self):
+        g = bipartite_cycle(3)
+        first, *rest = g.edges()
+        g.remove_edge(*first)
+        g.add_edge(*first)
+        assert g.edges() == rest + [first]
+        assert g.n_edges == 6
+        g.check_consistent()
 
     def test_scripted_swap_on_six_cycle(self):
         # remove one edge, add two: 6 -> 7 edges
         g = bipartite_cycle(3)
         assert g.n_edges == 6
-        g.remove_edge(0)
+        g.remove_edge(*g.edges()[0])
         g.add_edge(0, 4)
         g.add_edge(2, 3)
         assert g.n_edges == 7
         g.check_consistent()
 
-    def test_stale_id_rejected(self):
+    def test_absent_edge_removal_rejected(self):
         g = BipartiteGraph(2, 2)
-        e = g.add_edge(0, 2)
-        g.remove_edge(e)
-        with pytest.raises(InvalidEdgeError):
-            g.endpoints(e)
-        with pytest.raises(InvalidEdgeError):
-            g.remove_edge(e)
-        with pytest.raises(InvalidEdgeError):
-            g.remove_edge(99)
+        g.add_edge(0, 2)
+        g.remove_edge(0, 2)
+        for pair in [(0, 2), (2, 0), (1, 3), (0, 99)]:
+            with pytest.raises(InvalidEdgeError):
+                g.remove_edge(*pair)
+        assert g.n_edges == 0
+        g.check_consistent()
 
-    def test_surviving_ids_stay_valid_until_compact(self):
+    def test_removal_keeps_order_of_the_rest(self):
         g = bipartite_cycle(3)
-        pairs_before = {e: g.endpoints(e) for e in g.edge_ids()}
-        g.remove_edge(2)
-        for e, pair in pairs_before.items():
-            if e != 2:
-                assert g.endpoints(e) == pair
-        remap = g.compact()
-        assert set(remap) == set(pairs_before) - {2}
-        assert sorted(remap.values()) == list(range(5))
-        for old, new in remap.items():
-            assert g.endpoints(new) == pairs_before[old]
-        assert g.edge_ids() == list(range(g.n_edges))
+        edges = g.edges()
+        g.remove_edge(*edges[2])
+        assert g.edges() == edges[:2] + edges[3:]
+        g.check_consistent()
 
 
 class TestDistances:
@@ -323,14 +314,12 @@ class TestGirth:
 
     def test_tombstoned_edges_before_compact(self):
         graph = heawood_graph()
-        graph.remove_edge(0)
-        graph.remove_edge(7)
-        before = brute_girth(graph)
-        assert girth(graph) == before
-        graph.compact()
-        assert girth(graph) == brute_girth(graph) == before
+        edges = graph.edges()
+        graph.remove_edge(*edges[0])
+        graph.remove_edge(*edges[7])
+        assert girth(graph) == brute_girth(graph) == 6
         broken = cycle_graph(6)
-        broken.remove_edge(2)  # one removed edge leaves a path
+        broken.remove_edge(*broken.edges()[2])  # one removed edge leaves a path
         assert girth(broken) == INFINITE_GIRTH
 
     def test_petersen_odd_girth(self):
@@ -340,16 +329,15 @@ class TestGirth:
     def test_leaves_the_graph_unchanged(self):
         rng = random.Random(5)
         graphs = [random_simple_graph(rng, 12, 20) for _ in range(20)]
-        tombstoned = heawood_graph()
-        tombstoned.remove_edge(3)
-        graphs += [generate(3, 6, 96, 0)[0], petersen_graph(), tombstoned, SimpleGraph(4)]
+        removed = heawood_graph()
+        removed.remove_edge(*removed.edges()[3])
+        graphs += [generate(3, 6, 96, 0)[0], petersen_graph(), removed, SimpleGraph(4)]
         for graph in graphs:
-            edges, ids = graph.edges(), graph.edge_ids()
+            edges = graph.edges()
             adjacency = [graph.neighbors(v) for v in range(graph.n_vertices)]
             girth(graph)
             graph.check_consistent()
             assert graph.edges() == edges
-            assert graph.edge_ids() == ids
             assert [graph.neighbors(v) for v in range(graph.n_vertices)] == adjacency
             assert girth(graph) == brute_girth(graph)
 
@@ -381,11 +369,12 @@ class TestConflictGraph:
 
     def test_tombstoned_graph_uses_live_edges(self):
         g = bipartite_cycle(4)
-        g.remove_edge(3)
+        removed = g.edges()[3]
+        g.remove_edge(*removed)
         cg = conflict_graph(g)
         assert cg.n_nodes == 7
-        assert 3 not in g.edge_ids()
-        assert cg.endpoints == tuple(g.endpoints(e) for e in g.edge_ids())
+        assert removed not in cg.endpoints
+        assert cg.endpoints == tuple(g.edges())
 
 
 class TestClosedEdgeNeighborhood:
@@ -418,12 +407,11 @@ class TestProperties:
     def test_conflict_symmetric_irreflexive_and_correct(self, g):
         cg = conflict_graph(g)
         m = cg.n_nodes
-        eids = g.edge_ids()
         for i in range(m):
             assert not adjacent(cg, i, i)
             for j in range(m):
                 assert adjacent(cg, i, j) == adjacent(cg, j, i)
-                assert adjacent(cg, i, j) == conflicts_by_definition(g, eids[i], eids[j])
+                assert adjacent(cg, i, j) == conflicts_by_definition(g, i, j)
 
     @given(simple_graphs())
     @settings(max_examples=60, deadline=None)

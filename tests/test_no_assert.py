@@ -1,9 +1,13 @@
 """Invariants must survive ``python -O``, which strips assert statements,
 and must not pose as one by raising ``AssertionError`` by hand.  No input
 size may crash the program, so no function recurses either: a recursion
-as deep as its input hits the interpreter's recursion limit."""
+as deep as its input hits the interpreter's recursion limit.  The runtime
+is stdlib-only, so every import names the standard library or the package:
+numpy, scipy and the like may be installed where the tests run, and a stray
+import of one would pass every other test."""
 
 import ast
+import sys
 from pathlib import Path
 
 import strongedge
@@ -66,3 +70,33 @@ def test_package_recursion_is_capped():
     assert uncapped == [], "use an explicit stack instead of recursion at " + ", ".join(uncapped)
     # the check still sees the recursion it exempts
     assert set(calls) == CAPPED_RECURSION
+
+
+def _foreign_imports(tree: ast.AST) -> list[tuple[int, str]]:
+    """(line, module) of every import in ``tree`` that names neither the
+    standard library nor this package."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue  # a relative import stays inside the package
+        found += [
+            (node.lineno, name)
+            for name in names
+            if name.partition(".")[0] not in sys.stdlib_module_names | {"strongedge"}
+        ]
+    return found
+
+
+def test_package_imports_only_the_standard_library():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{line} ({name})" for line, name in _foreign_imports(tree)]
+    assert found == [], "the runtime is stdlib-only; drop the import at " + ", ".join(found)
+    # the check still sees a third-party import, at top level or in a body
+    probe = ast.parse("import numpy.linalg\ndef f():\n    from scipy import sparse\n")
+    assert _foreign_imports(probe) == [(1, "numpy.linalg"), (3, "scipy")]

@@ -128,7 +128,7 @@ class TestCertify:
     def test_regularity_failure_named(self, tmp_path):
         path = tmp_path / "bad.dimacs"
         g = heawood_graph()
-        g.remove_edge(0)  # two vertices drop to degree 2
+        g.remove_edge(*g.edges()[0])  # two vertices drop to degree 2
         save_dimacs(path, g)
         with pytest.raises(VerificationError) as exc:
             certify_graph(path, 3)
