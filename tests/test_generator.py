@@ -193,6 +193,10 @@ class TestSwap:
         deg_h = (graph.degree(x_h), graph.degree(y_h))
         apply_swap(state, x_l, y_l, x_h, y_h)
         assert len(state.added) == size_before + 1
+        # the swap draw shuffles `added` in its order, which must stay the
+        # graph's edge order
+        assert list(state.added) == [near, (x_l, y_h), (x_h, y_l)]
+        assert list(state.added) == [e for e in graph.edges() if e in state.added]
         assert graph.degree(x_l) == 3 and graph.degree(y_l) == 3
         assert (graph.degree(x_h), graph.degree(y_h)) == deg_h
         assert x_l not in state.x_low and y_l not in state.y_low
