@@ -162,6 +162,7 @@ GREEDY = {
     8: "b501038fecfd61dc3142d0200322dd3dd9373e0bd57406b55f35d6ee32ead795",
     9: "9c37bf870d0466a101f6f535eea00226a7285fd0e85878d8333bb1f9b7441879",
     10: "e7af7f7e4630d9d2d65b2dfaa83f9824902fe0dfe4bdd07dc46471b68cc80251",
+    11: "4b7f2a86aad91610e79d7b593fbe9be86e37abacdc0f2937eafa5acf97980c4a",
 }
 
 # girth target -> exact girth of the k=3, seed=1 graph; the builds
