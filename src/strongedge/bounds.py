@@ -11,8 +11,8 @@ for every color class C, hence |C| <= m / (2k - 1).  When 2k - 1 does not
 divide m the inequality is strict, which forces at least 2k colors.  This
 module packages that argument as a machine-checkable certificate and as
 per-coloring audit checks.  The audits take the windows N(e) from
-:func:`strongedge.graphs.edge_windows`, the one window mask the solver's
-clique bound also seeds from.
+:func:`strongedge.graphs.edge_windows`, as tuples of edge positions, the
+same windows the solver's clique bound seeds from.
 """
 
 from __future__ import annotations
@@ -109,11 +109,11 @@ def averaging_identity_check(g: SimpleGraph, coloring, color: int) -> tuple[int,
         raise ValueError(
             f"coloring covers {len(coloring.colors)} edges, graph has {len(edges)}"
         )
-    members = sum(1 << i for i, c in enumerate(coloring.colors) if c == color)
-    lhs = (2 * k - 1) * members.bit_count()
+    colors = coloring.colors
+    lhs = (2 * k - 1) * colors.count(color)
     rhs = 0
     for e, ((u, v), window) in enumerate(zip(edges, edge_windows(edges))):
-        hits = (members & window).bit_count()
+        hits = sum(colors[j] == color for j in window)
         if hits > 1:
             raise IdentityViolationError(
                 f"color {color} appears {hits} times in the closed neighborhood "

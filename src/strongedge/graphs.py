@@ -15,19 +15,11 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import DuplicateEdgeError, InternalInvariantError, InvalidEdgeError
 
 INFINITE_GIRTH = math.inf
-
-
-def iter_bits(mask: int) -> Iterator[int]:
-    """Yield the indices of the set bits of ``mask`` in ascending order."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 class SimpleGraph:
@@ -247,18 +239,19 @@ def girth(g: SimpleGraph) -> int | float:
     return best
 
 
-def edge_windows(endpoints: Sequence[tuple[int, int]]) -> list[int]:
-    """The window of each edge: its closed edge neighborhood as a bit mask.
+def edge_windows(endpoints: Sequence[tuple[int, int]]) -> list[tuple[int, ...]]:
+    """The window of each edge: its closed edge neighborhood.
 
-    Bit j of the i-th mask is set when edges i and j (positions in
-    ``endpoints``) share an endpoint, so bit i itself is set.  A window is a
-    clique of the conflict graph, with 2k-1 bits in a k-regular graph.
+    The i-th window holds, in ascending order, the positions in
+    ``endpoints`` of the edges sharing an endpoint with edge i, and i
+    itself.  A window is a clique of the conflict graph, with 2k-1 nodes in
+    a k-regular graph.
     """
-    incident: dict[int, int] = {}
+    incident: dict[int, list[int]] = {}
     for i, (u, v) in enumerate(endpoints):
-        incident[u] = incident.get(u, 0) | 1 << i
-        incident[v] = incident.get(v, 0) | 1 << i
-    return [incident[u] | incident[v] for u, v in endpoints]
+        incident.setdefault(u, []).append(i)
+        incident.setdefault(v, []).append(i)
+    return [tuple(sorted({*incident[u], *incident[v]})) for u, v in endpoints]
 
 
 class ConflictGraph:
@@ -267,18 +260,18 @@ class ConflictGraph:
     One node per edge, in :meth:`SimpleGraph.edges` order, with
     ``endpoints[i]`` the edge's vertex pair; two nodes are adjacent exactly
     when the edges share an endpoint or some edge joins an endpoint of one
-    to an endpoint of the other.  Strong edge-colorings of the source graph are precisely the
-    proper vertex colorings of this graph.
+    to an endpoint of the other.  Strong edge-colorings of the source graph
+    are precisely the proper vertex colorings of this graph.
 
-    Adjacency is stored as one bit row per node (bit ``j`` of ``adj[i]`` set
-    iff nodes i and j conflict); the solver's hot loop is bitwise
-    intersection on these rows.  Instances are immutable values.
+    ``adj[i]`` is the strictly ascending tuple of the nodes conflicting
+    with node i, and ``degrees[i]`` its length.  Instances are immutable
+    values.
     """
 
     def __init__(
         self,
         endpoints: tuple[tuple[int, int], ...],
-        adj: list[int],
+        adj: tuple[tuple[int, ...], ...],
         degrees: tuple[int, ...],
     ):
         self.endpoints = endpoints
@@ -296,18 +289,17 @@ def conflict_graph(g: SimpleGraph) -> ConflictGraph:
     Adjacency is symmetric and irreflexive by construction.
     """
     endpoints = tuple(g.edges())
-    incident = [0] * g.n_vertices
+    incident: list[list[int]] = [[] for _ in range(g.n_vertices)]
     for i, (u, v) in enumerate(endpoints):
-        incident[u] |= 1 << i
-        incident[v] |= 1 << i
-    adj: list[int] = []
+        incident[u].append(i)
+        incident[v].append(i)
+    # reach[x]: the edges with an endpoint adjacent to x, which include those
+    # at x.  Edge i = (u, v) conflicts with exactly the other edges in
+    # reach[u] | reach[v].
+    reach = [{i for w in g._adj[x] for i in incident[w]} for x in range(g.n_vertices)]
+    adj = []
     for i, (u, v) in enumerate(endpoints):
-        # u and v are neighbors of each other, so this covers the edges
-        # sharing an endpoint as well as those joined by an edge.
-        mask = 0
-        for w in g._adj[u]:
-            mask |= incident[w]
-        for w in g._adj[v]:
-            mask |= incident[w]
-        adj.append(mask & ~(1 << i))
-    return ConflictGraph(endpoints, adj, tuple(a.bit_count() for a in adj))
+        row = reach[u] | reach[v]
+        row.discard(i)
+        adj.append(tuple(sorted(row)))
+    return ConflictGraph(endpoints, tuple(adj), tuple(map(len, adj)))

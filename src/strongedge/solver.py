@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass
 
 from .errors import InternalInvariantError
-from .graphs import ConflictGraph, edge_windows, iter_bits
+from .graphs import ConflictGraph, edge_windows
 
 FOUND = "found"
 EXHAUSTED = "none"
@@ -124,16 +124,14 @@ def verify(cg: ConflictGraph, phi: StrongColoring) -> bool:
         )
     if any(c < 1 for c in phi.colors):
         raise ValueError("every edge must be assigned a color >= 1")
-    by_color: dict[int, int] = {}
-    for i, c in enumerate(phi.colors):
-        by_color[c] = by_color.get(c, 0) | (1 << i)
-    ok = True
-    for i, c in enumerate(phi.colors):
-        if cg.adj[i] & by_color[c] & ~(1 << i):
-            ok = False
-            break
-    phi.verified = ok
-    return ok
+    colors = phi.colors
+    phi.verified = False
+    for c, row in zip(colors, cg.adj):
+        for w in row:
+            if colors[w] == c:
+                return False
+    phi.verified = True
+    return True
 
 
 def greedy_color(cg: ConflictGraph) -> StrongColoring:
@@ -268,7 +266,7 @@ def _decision_search(
             used += 1
         counted = bit != special_bit or special_left > 0
         touched = []
-        for w in iter_bits(adj[v]):
+        for w in adj[v]:
             if not colors[w] and not forbid[w] & bit:
                 forbid[w] |= bit
                 touched.append(w)
@@ -315,17 +313,18 @@ def _clique_lower_bound(cg: ConflictGraph) -> int:
     2k-1 in a k-regular graph); every one is used as a seed and extended
     greedily by common neighbors, highest conflict degree first.
     """
+    adj, degrees = cg.adj, cg.degrees
     best = 0
-    for clique in edge_windows(cg.endpoints):
-        cand = ~0
-        for j in iter_bits(clique):
-            cand &= cg.adj[j]
-        cand &= ~clique
+    for i, window in enumerate(edge_windows(cg.endpoints)):
+        # adj[i] holds the rest of the window, and each row leaves out its
+        # own node, so no window node survives the intersection.
+        cand = set(adj[i]).intersection(*[adj[j] for j in window if j != i])
+        size = len(window)
         while cand:
-            pick = max(iter_bits(cand), key=lambda j: (cg.degrees[j], -j))
-            clique |= 1 << pick
-            cand &= cg.adj[pick]
-        best = max(best, clique.bit_count())
+            pick = max(cand, key=lambda j: (degrees[j], -j))
+            size += 1
+            cand.intersection_update(adj[pick])
+        best = max(best, size)
     return best
 
 
@@ -387,12 +386,9 @@ def brute_force_chi_s(cg: ConflictGraph) -> int:
     def feasible(i: int, used: int, cap: int) -> bool:
         if i == m:
             return True
-        banned = 0
-        for w in iter_bits(adj[i]):
-            if colors[w]:
-                banned |= 1 << (colors[w] - 1)
+        banned = {colors[w] for w in adj[i]}
         for c in range(1, min(used + 1, cap) + 1):
-            if banned >> (c - 1) & 1:
+            if c in banned:
                 continue
             colors[i] = c
             if feasible(i + 1, max(used, c), cap):

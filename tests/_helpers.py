@@ -2,7 +2,7 @@
 
 The oracles here deliberately use different algorithms from the library
 (edge-based girth instead of vertex-based, quadratic conflict predicate
-instead of bit rows) so cross-checks are meaningful.
+instead of neighbor rows) so cross-checks are meaningful.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from pathlib import Path
 
 import strongedge
 from strongedge import BipartiteGraph, SimpleGraph, StrongColoring, verify
-from strongedge.graphs import iter_bits
 from strongedge.solver import EXHAUSTED, FOUND, TIMEOUT, SearchResult
 
 
@@ -91,7 +90,7 @@ def first_fit(cg, order) -> StrongColoring:
     conflict neighbor has yet.  Gives colorings unlike the saturation greedy."""
     colors = [0] * cg.n_nodes
     for v in order:
-        taken = {colors[w] for w in iter_bits(cg.adj[v])}
+        taken = {colors[w] for w in cg.adj[v]}
         colors[v] = min(c for c in range(1, len(taken) + 2) if c not in taken)
     return StrongColoring(colors)
 
@@ -206,7 +205,7 @@ def scan_decision_search(cg, palette, special_cap, budget) -> SearchResult:
         elif c == used + 1:
             used += 1
         touched = []
-        for w in iter_bits(adj[v]):
+        for w in adj[v]:
             if not colors[w] and not forbid[w] & bit:
                 forbid[w] |= bit
                 touched.append(w)

@@ -38,7 +38,7 @@ def min_usage_oracle(cg, palette):
             assign[i] != assign[j]
             for i in range(m)
             for j in range(i + 1, m)
-            if cg.adj[i] >> j & 1
+            if j in cg.adj[i]
         )
         if ok:
             usage = sum(1 for c in assign if c == palette)
