@@ -3,11 +3,13 @@
 Everything here operates on a :class:`ConflictGraph`, so arbitrary simple
 graphs are in scope, not only bipartite ones.  The decision engine is a
 backtracking search that always branches on the uncolored node with the
-fewest available colors (ties broken by conflict degree, then index) and
-breaks color symmetry canonically: a fresh color may only be introduced as
-the next unused id.  It keeps the uncolored nodes in saturation buckets
-(DSATUR, Brélaz 1979), so a step costs time in proportion to the neighbors
-it touches, not to the edge count.  It runs on an explicit stack, so its
+fewest available colors (ties broken by most conflicts, then lowest index)
+and breaks color symmetry canonically: a fresh color may only be introduced
+as the next unused id.  It keeps the uncolored nodes in saturation buckets
+(DSATUR, Brélaz 1979), each node stored as a number that sorts it by most
+conflicts and then by lowest index, so the pick is ``min`` of the highest
+non-empty bucket.  A step costs time in proportion to the neighbors it
+touches, not to the edge count.  It runs on an explicit stack, so its
 depth is bounded by memory, not by the interpreter's recursion limit.  The
 saturation greedy is its first descent with a palette of one color per
 edge.  All searches are deterministic; budgets are wall-clock with a
@@ -85,6 +87,11 @@ class MinLastUsageResult:
 class _Budget:
     """Shared node/wall-clock budget threaded through nested searches.
 
+    ``nodes`` counts the search nodes of every search that shares the
+    budget.  A search charges one node per descent and runs out when
+    ``nodes`` passes ``node_limit``, or when the clock is past ``deadline``
+    at a clock check, made every 256 nodes of that count.
+
     A negative budget is invalid (``ValueError``).  A budget of 0 runs out
     at once: a node budget before the first node, a wall-clock budget at the
     first clock check.
@@ -97,19 +104,6 @@ class _Budget:
         self.deadline = None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
         self.node_limit = node_budget
         self.nodes = 0
-
-    def spend(self) -> bool:
-        """Charge one search node; True when the budget is exhausted."""
-        self.nodes += 1
-        if self.node_limit is not None and self.nodes > self.node_limit:
-            return True
-        if (
-            self.deadline is not None
-            and self.nodes % _CLOCK_CHECK_INTERVAL == 0
-            and time.monotonic() > self.deadline
-        ):
-            return True
-        return False
 
 
 def verify(cg: ConflictGraph, phi: StrongColoring) -> bool:
@@ -162,18 +156,24 @@ def _decision_search(
     bit, so ascending-bit enumeration tries it last.
 
     Each step picks the node to color from saturation buckets kept up to
-    date as colors are set and undone, so a step costs time in proportion
-    to the neighbors it touches and to the size of the highest bucket, not
-    to m.  Only the special color running out or coming back on undo
-    re-keys in one pass over the nodes.
+    date as colors are set and undone.  A bucket holds each node as the
+    entry (highest conflict degree - its conflict degree) * m + index, so
+    ``min`` of the highest non-empty bucket is the node with the fewest
+    colors left, then the most conflicts, then the lowest index.  A step costs time in
+    proportion to the neighbors it touches and to the size of that bucket,
+    not to m.  Only the special color running out or coming back on undo
+    re-keys in one pass over the nodes.  Nodes are counted in a local and
+    written back to ``budget.nodes`` when the search stops.
     """
     m = cg.n_nodes
-    start_nodes = budget.nodes
+    start_nodes = nodes = budget.nodes
     if m == 0:
         return SearchResult(FOUND, StrongColoring([], verified=True), 0)
     if palette <= 0:
         return SearchResult(EXHAUSTED, None, 0)
 
+    node_limit = budget.node_limit
+    deadline = budget.deadline
     regular = palette if special_cap is None else palette - 1
     special_bit = 0 if special_cap is None else 1 << (palette - 1)
     adj = cg.adj
@@ -183,30 +183,32 @@ def _decision_search(
     used = 0
     special_left = special_cap or 0
     # Saturation buckets: each uncolored node v off the stack sits in
-    # buckets[key[v]], key[v] = |forbid[v] & legal|, so the fewest available
-    # colors is the highest key.  forbid[v] holds only colors in use, and
-    # legal grows only by the next fresh color, which no node forbids, so
-    # keys move only when a forbid bit is set or cleared, or when the
-    # special color leaves or rejoins legal.  `top` is at least the highest
-    # non-empty key.
+    # buckets[key[v]] as entry[v], key[v] = |forbid[v] & legal|, so the
+    # fewest available colors is the highest key.  forbid[v] holds only
+    # colors in use, and legal grows only by the next fresh color, which no
+    # node forbids, so keys move only when a forbid bit is set or cleared,
+    # or when the special color leaves or rejoins legal.  `top` is at least
+    # the highest non-empty key.  When all conflict degrees are equal,
+    # entry[v] == v.
+    max_degree = max(degrees)
+    entry = [(max_degree - d) * m + v for v, d in enumerate(degrees)]
     key = [0] * m
-    buckets: list[set[int]] = [set() for _ in range(min(palette, max(degrees)) + 1)]
-    buckets[0].update(range(m))
+    buckets: list[set[int]] = [set() for _ in range(min(palette, max_degree) + 1)]
+    buckets[0].update(entry)
     top = 0
-
-    def rekey(w: int) -> None:
-        nonlocal top
-        k = (forbid[w] & ~special_bit if special_left == 0 else forbid[w]).bit_count()
-        buckets[key[w]].discard(w)
-        buckets[k].add(w)
-        key[w] = k
-        top = max(top, k)
 
     def rekey_special_neighbors() -> None:
         # The special color just left or rejoined legal.
+        nonlocal top
+        mask = ~special_bit if special_left == 0 else -1
         for w in range(m):
             if not colors[w] and forbid[w] & special_bit:
-                rekey(w)
+                k = (forbid[w] & mask).bit_count()
+                buckets[key[w]].remove(entry[w])
+                buckets[k].add(entry[w])
+                key[w] = k
+                if k > top:
+                    top = k
 
     # One frame per colored node: [node, untried colors, neighbors whose
     # forbid bit it newly set, used and special_left before its color].
@@ -214,21 +216,28 @@ def _decision_search(
     status = FOUND
 
     while len(stack) < m:
-        if budget.spend():  # one node per descent
+        # One node per descent; the clock is read every 256 nodes.
+        nodes += 1
+        if (node_limit is not None and nodes > node_limit) or (
+            deadline is not None
+            and nodes % _CLOCK_CHECK_INTERVAL == 0
+            and time.monotonic() > deadline
+        ):
             status = TIMEOUT
             break
         legal = (1 << min(used + 1, regular)) - 1
         if special_left > 0:
             legal |= special_bit
-        # Most-constrained node first, ties by conflict degree, then index.
-        # A key equal to |legal| (no color left) is a sound dead end: the
-        # next fresh color is never forbidden, so it only happens once the
-        # palette is truly exhausted for that node.
+        # A node with no color left is a sound dead end: the next fresh
+        # color is never forbidden, so it only happens once the palette is
+        # truly exhausted for that node.
         while not buckets[top]:
             top -= 1
         if top < legal.bit_count():
-            v = max(buckets[top], key=lambda w: (degrees[w], -w))
-            buckets[top].remove(v)
+            bucket = buckets[top]
+            e = min(bucket)
+            bucket.remove(e)
+            v = e % m
             stack.append([v, legal & ~forbid[v], [], used, special_left])
 
         # Back up to the deepest frame with an untried color, uncoloring the
@@ -237,22 +246,30 @@ def _decision_search(
             v, untried, touched, used, left_before = frame = stack[-1]
             if colors[v]:
                 bit = 1 << (colors[v] - 1)
-                counted = bit != special_bit or special_left > 0
-                for w in touched:
-                    forbid[w] ^= bit
-                    if counted:
+                if bit != special_bit or special_left > 0:
+                    for w in touched:
+                        forbid[w] ^= bit
                         k = key[w]
-                        buckets[k].remove(w)
-                        buckets[k - 1].add(w)
-                        key[w] = k - 1
-                special_left = left_before
-                if not counted:
+                        buckets[k].remove(entry[w])
+                        k -= 1
+                        buckets[k].add(entry[w])
+                        key[w] = k
+                    special_left = left_before
+                else:
+                    for w in touched:
+                        forbid[w] ^= bit
+                    special_left = left_before
                     rekey_special_neighbors()
                 colors[v] = 0
             if untried:
                 break
             stack.pop()
-            rekey(v)
+            mask = ~special_bit if special_left == 0 else -1
+            k = (forbid[v] & mask).bit_count()
+            buckets[k].add(entry[v])
+            key[v] = k
+            if k > top:
+                top = k
         else:
             status = EXHAUSTED
             break
@@ -264,25 +281,30 @@ def _decision_search(
             special_left -= 1
         elif c == used + 1:
             used += 1
-        counted = bit != special_bit or special_left > 0
         touched = []
-        for w in adj[v]:
-            if not colors[w] and not forbid[w] & bit:
-                forbid[w] |= bit
-                touched.append(w)
-                if counted:
-                    k = key[w] + 1
-                    buckets[k - 1].remove(w)
-                    buckets[k].add(w)
+        if bit != special_bit or special_left > 0:
+            for w in adj[v]:
+                if not colors[w] and not forbid[w] & bit:
+                    forbid[w] |= bit
+                    touched.append(w)
+                    k = key[w]
+                    buckets[k].remove(entry[w])
+                    k += 1
+                    buckets[k].add(entry[w])
                     key[w] = k
                     if k > top:
                         top = k
-        if not counted:
+        else:
+            for w in adj[v]:
+                if not colors[w] and not forbid[w] & bit:
+                    forbid[w] |= bit
+                    touched.append(w)
             rekey_special_neighbors()
         frame[1] = untried ^ bit
         frame[2] = touched
 
-    spent = budget.nodes - start_nodes
+    budget.nodes = nodes
+    spent = nodes - start_nodes
     if status == FOUND:
         phi = StrongColoring(colors)
         if not verify(cg, phi):

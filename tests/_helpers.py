@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import os
 import random
+import time
 from collections import deque
 from pathlib import Path
 
@@ -141,13 +142,14 @@ def scan_decision_search(cg, palette, special_cap, budget) -> SearchResult:
     """Reference decision search that picks each node by an O(m) scan.
 
     The same search tree as ``strongedge.solver._decision_search`` (same
-    picks, tie rules, dead-end test and one node charged per descent), but
-    every pick rescans all uncolored nodes for the fewest available colors,
-    ties by higher conflict degree, then lower index.  Tests compare the
-    production search's status, coloring and node count against it.
+    picks, tie rules, dead-end test and one node charged per descent, with
+    the clock read every 256 nodes), but every pick rescans all uncolored
+    nodes for the fewest available colors, ties by higher conflict degree,
+    then lower index.  Tests compare the production search's status,
+    coloring and node count against it.
     """
     m = cg.n_nodes
-    start_nodes = budget.nodes
+    start_nodes = nodes = budget.nodes
     if m == 0:
         return SearchResult(FOUND, StrongColoring([], verified=True), 0)
     if palette <= 0:
@@ -165,7 +167,12 @@ def scan_decision_search(cg, palette, special_cap, budget) -> SearchResult:
     status = FOUND
 
     while len(stack) < m:
-        if budget.spend():
+        nodes += 1
+        if (budget.node_limit is not None and nodes > budget.node_limit) or (
+            budget.deadline is not None
+            and nodes % 256 == 0
+            and time.monotonic() > budget.deadline
+        ):
             status = TIMEOUT
             break
         legal = (1 << min(used + 1, regular)) - 1
@@ -212,7 +219,8 @@ def scan_decision_search(cg, palette, special_cap, budget) -> SearchResult:
         frame[1] = untried ^ bit
         frame[2] = touched
 
-    spent = budget.nodes - start_nodes
+    budget.nodes = nodes
+    spent = nodes - start_nodes
     if status == FOUND:
         phi = StrongColoring(colors)
         if not verify(cg, phi):

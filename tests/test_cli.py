@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from strongedge import generate, girth, load_dimacs, save_dimacs
+from strongedge import choose_n, generate, girth, load_dimacs, save_dimacs
 from strongedge.cli import main
 from _helpers import bipartite_cycle, cli_env, cycle_graph, heawood_graph, path_graph
 
@@ -245,6 +245,12 @@ class TestBudgetFlags:
         save_dimacs(path, cycle_graph(7))
         argv = [command, path] + (["--k", 2] if command == "conjecture2" else [])
         assert run(*argv, "--node-budget", 0) == 4
+
+    def test_zero_wall_clock_budget_stops_at_first_clock_check(self, tmp_path, capsys):
+        path = tmp_path / "g6.dimacs"
+        save_dimacs(path, generate(3, 6, choose_n(3, 6), 1)[0])
+        assert run("solve", path, "--budget-ms", 0) == 4
+        assert "(256 search nodes)" in capsys.readouterr().out
 
 
 class TestEntryPoint:

@@ -208,6 +208,28 @@ class TestFindColoring:
         assert verify(cg, res.coloring)
 
 
+class TestWallClockBudget:
+    """A wall-clock budget of 0 runs out at the first clock check, which
+    the search makes every 256 nodes of its cumulative count."""
+
+    def test_find_coloring_times_out_at_first_clock_check(self):
+        cg = conflict_graph(generate(3, 6, choose_n(3, 6), 1)[0])
+        res = find_coloring(cg, 6, budget_ms=0)
+        assert (res.status, res.nodes) == ("timeout", 256)
+
+    def test_exact_keeps_greedy_bound_at_first_clock_check(self):
+        cg = conflict_graph(generate(3, 6, choose_n(3, 6), 1)[0])
+        out = exact_chi_s(cg, budget_ms=0)
+        assert (out.status, out.nodes) == ("upper-bound-only", 256)
+        assert verify(cg, out.coloring)
+
+    def test_search_shorter_than_a_clock_interval_finishes(self):
+        cg = conflict_graph(cycle_graph(6))
+        res = find_coloring(cg, 3, budget_ms=0)
+        assert res.status == "found"
+        assert verify(cg, res.coloring)
+
+
 class TestMinLastColorUsage:
     def test_c8_against_exhaustive_oracle(self):
         cg = conflict_graph(cycle_graph(8))
@@ -292,8 +314,10 @@ class TestScanEquivalence:
 
     def test_family_reaches_every_outcome(self):
         # The family must make the search find, refute and run out of
-        # budget, and must spend a capped special color, or the comparison
-        # above could pass on paths the rewrite never takes.
+        # budget, and must spend a capped special color, also on a graph
+        # with at least 3 distinct conflict degrees, where re-keying after
+        # the special color runs out must keep each node's degree rank; or
+        # the comparison above could pass on paths the rewrite never takes.
         seen = set()
         for graph in EQUIVALENCE_FAMILY.values():
             cg = conflict_graph(graph)
@@ -302,4 +326,19 @@ class TestScanEquivalence:
                 seen.add(res.status)
                 if res.status == "found" and res.coloring.usage(palette) == 1:
                     seen.add("special used up")
-        assert seen == {"found", "none", "timeout", "special used up"}
+                    if len(set(cg.degrees)) >= 3:
+                        seen.add("special used up, 3+ degrees")
+        assert seen == {
+            "found", "none", "timeout", "special used up", "special used up, 3+ degrees"
+        }
+
+    def test_greedy_on_large_irregular_graph(self):
+        # One color per edge: the greedy descent, with many distinct
+        # conflict degrees, so the degree rank decides most picks.
+        cg = conflict_graph(random_simple_graph(random.Random(9), 80, 240))
+        assert cg.n_nodes >= 200
+        assert len(set(cg.degrees)) >= 50
+        ref = scan_decision_search(cg, cg.n_nodes, None, _Budget())
+        res = _decision_search(cg, cg.n_nodes, None, _Budget())
+        assert (res.status, res.nodes) == (ref.status, ref.nodes) == ("found", cg.n_nodes)
+        assert res.coloring.colors == ref.coloring.colors == greedy_color(cg).colors
