@@ -17,14 +17,15 @@ from __future__ import annotations
 from pathlib import Path
 
 from .errors import DimacsParseError, DuplicateEdgeError
-from .graphs import BipartiteGraph, SimpleGraph
+from .graphs import MAX_VERTICES, BipartiteGraph, SimpleGraph
 
 
 def parse_dimacs(text: str) -> SimpleGraph | BipartiteGraph:
     """Parse DIMACS text into a graph.
 
     Raises :class:`DimacsParseError` (with the offending line number) on a
-    malformed line, a header/body count mismatch, or a duplicate edge.
+    malformed line, a vertex count above :data:`~strongedge.graphs.MAX_VERTICES`,
+    a header/body count mismatch, or a duplicate edge.
     """
     n_vertices: int | None = None
     n_edges_declared: int | None = None
@@ -66,6 +67,10 @@ def parse_dimacs(text: str) -> SimpleGraph | BipartiteGraph:
                 raise DimacsParseError("counts must be integers", line_no) from None
             if n_vertices < 0 or n_edges_declared < 0:
                 raise DimacsParseError("counts must be >= 0", line_no)
+            if n_vertices > MAX_VERTICES:
+                raise DimacsParseError(
+                    f"vertex count {n_vertices} exceeds the cap of {MAX_VERTICES}", line_no
+                )
             continue
         if kind == "e":
             if n_vertices is None:

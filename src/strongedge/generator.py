@@ -11,7 +11,9 @@ above a parameter floor (:func:`min_n`) the swap edge is guaranteed to
 exist by a counting argument, so construction cannot get stuck.
 
 :func:`generate` validates its input once and owns the graph; each level
-lifts it in place, and the girth is measured once per level, at its end.
+lifts it in place, and the girth is measured once per build, on the final
+graph.  That bounds every level's girth too: a level swaps out only edges
+it added itself, so each level's graph is a subgraph of the final one.
 
 Every accepted step is recorded in a :class:`GeneratorTrace`; replaying a
 trace from the base cycle reproduces the output graph exactly and re-checks
@@ -20,24 +22,23 @@ the girth invariant after every step.
 
 from __future__ import annotations
 
-import math
 import random
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import ConstructionFailedError, InternalInvariantError
-from .graphs import BipartiteGraph, distances_from, girth
+from .graphs import MAX_VERTICES, BipartiteGraph, distances_from, girth
 
 
 def min_n(k: int, g: int) -> int:
     """Smallest side size with a construction guarantee for degree k and
     girth target g: max(g, ceil(3 * (k-1)^(g-1) / (k-2))) when k >= 3, and
-    g itself when k = 2."""
+    g itself when k = 2.  Exact in integers at every size."""
     _check_params(k, g)
     if k == 2:
         return g
-    return max(g, math.ceil(3 * (k - 1) ** (g - 1) / (k - 2)))
+    return max(g, -(-3 * (k - 1) ** (g - 1) // (k - 2)))
 
 
 def choose_n(k: int, g: int) -> int:
@@ -58,6 +59,11 @@ def _check_params(k: int, g: int) -> None:
         raise ValueError(f"degree must be >= 2, got {k}")
     if g < 3:
         raise ValueError(f"girth target must be >= 3, got {g}")
+    # a cycle of length g has g vertices, a k-regular graph more than k
+    if k > MAX_VERTICES or g > MAX_VERTICES:
+        raise ValueError(
+            f"degree {k} and girth target {g} must not exceed the vertex cap {MAX_VERTICES}"
+        )
 
 
 def base_cycle(n: int) -> BipartiteGraph:
@@ -217,23 +223,50 @@ def _edge_keeps_girth(graph: BipartiteGraph, u: int, v: int, girth_target: int) 
 def find_distant_low_pair(state: AugmentState, rng: random.Random) -> tuple[int, int] | None:
     """Some low pair (x_l, y_l) at distance >= g-1, or None if none exists.
 
-    Low vertices are tried in seeded-random order; for each x_l one BFS
-    finds its ball, and a uniformly random low y outside the ball is taken.
-    Any vertex not reached within g-2 hops is at distance >= g-1, which is
-    exactly the admission threshold.  The BFS stops at the largest odd
-    depth <= g-2, which is (g-3) | 1: the graph is bipartite, so every y
-    lies at odd distance from x, and when g-2 is even the last layer holds
-    only left vertices and keeps no y out.
+    Low vertices are tried in seeded-random order.  For each x_l a layered
+    BFS walks its ball, of radius (g-3) | 1, and collects the low ys it
+    reaches; a uniformly random low y outside the ball is then taken with
+    one draw below their number, mapped to the y by walking the sorted near
+    ones.  The step touches the ball, not every low y.  Any vertex not
+    reached within g-2 hops is at distance >= g-1, which is exactly the
+    admission threshold.  The radius is the largest odd depth <= g-2: the
+    graph is bipartite, so every y lies at odd distance from x, and when
+    g-2 is even the last layer holds only left vertices and keeps no y out.
+    Within a level a vertex is low exactly when its degree is below k.
     """
+    adj = state.graph._adj
+    n_vertices = state.graph.n_vertices
+    k = state.k
     xs = state.x_low.copy()
     _shuffle(rng, xs)
     ys = state.y_low
-    cutoff = (state.girth_target - 3) | 1
+    radius = (state.girth_target - 3) | 1
     for x in xs:
-        dist = distances_from(state.graph, [x], cutoff)
-        candidates = [y for y in ys if dist[y] < 0]
-        if candidates:
-            return x, rng.choice(candidates)
+        seen = bytearray(n_vertices)
+        seen[x] = 1
+        layer = [x]
+        near: list[int] = []
+        for depth in range(1, radius + 1):
+            reached = []
+            for u in layer:
+                for w in adj[u]:
+                    if not seen[w]:
+                        seen[w] = 1
+                        reached.append(w)
+            if depth & 1:
+                near += [y for y in reached if len(adj[y]) < k]
+            layer = reached
+        free = len(ys) - len(near)
+        if free:
+            # the i-th low y outside the ball: each near y at or below the
+            # current guess pushes it one place up the sorted ys
+            i = rng.choice(range(free))
+            near.sort()
+            for y in near:
+                if y > ys[i]:
+                    break
+                i += 1
+            return x, ys[i]
     return None
 
 
@@ -291,10 +324,11 @@ def apply_swap(state: AugmentState, x_l: int, y_l: int, x_h: int, y_h: int) -> N
 
 
 def _raise_degree(graph: BipartiteGraph, k: int, girth_target: int, rng: random.Random) -> list:
-    """Lift the (k-1)-regular ``graph`` in place to k-regular with girth >=
-    girth_target, and return the steps.  The input girth is already >=
-    girth_target: level 3 starts from a base cycle with 2n >= g, and each
-    later level from a graph whose girth the level before measured."""
+    """Lift the (k-1)-regular ``graph`` in place to k-regular, and return
+    the steps.  Each step re-checks the girth around the edges it adds; the
+    level measures no girth itself.  Its input has girth >= girth_target
+    (the base cycle has 2n >= g, and later inputs are subgraphs of the
+    final graph, whose girth :func:`generate` measures)."""
     state = AugmentState.from_graph(graph, k, girth_target)
     steps: list = []
     while state.x_low:
@@ -316,8 +350,6 @@ def _raise_degree(graph: BipartiteGraph, k: int, girth_target: int, rng: random.
         raise InternalInvariantError(
             f"level finished with {len(state.added)} added edges, expected {graph.n_left}"
         )
-    if girth(graph) < girth_target:
-        raise InternalInvariantError("final girth check failed after augmentation")
     return steps
 
 
@@ -331,7 +363,7 @@ def generate(
     unless ``force`` is set, in which case an unlucky construction raises
     :class:`ConstructionFailedError` instead of being guaranteed.  The
     arguments are validated here, once; the levels 3..k then lift the base
-    cycle in place, each measuring the girth once, when it finishes.
+    cycle in place, and the girth of the finished graph is measured once.
     """
     _check_params(k, g)
     floor = min_n(k, g)
@@ -349,6 +381,8 @@ def generate(
     try:
         for level in range(3, k + 1):
             steps.extend(_raise_degree(graph, level, g, rng))
+        if k >= 3 and girth(graph) < g:
+            raise InternalInvariantError("final girth check failed after augmentation")
     except InternalInvariantError as exc:
         if force:
             raise ConstructionFailedError(

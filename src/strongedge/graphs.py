@@ -21,6 +21,11 @@ from .errors import DuplicateEdgeError, InternalInvariantError, InvalidEdgeError
 
 INFINITE_GIRTH = math.inf
 
+# Most vertices a graph may have.  Checked before any allocation, so an
+# oversized file header or parameter is invalid input, not a MemoryError;
+# the cubic girth-12 build has 12,288 vertices.
+MAX_VERTICES = 1 << 20
+
 
 class SimpleGraph:
     """Mutable simple undirected graph on vertices ``0..n_vertices-1``.
@@ -32,6 +37,10 @@ class SimpleGraph:
     def __init__(self, n_vertices: int):
         if n_vertices < 0:
             raise ValueError(f"vertex count must be >= 0, got {n_vertices}")
+        if n_vertices > MAX_VERTICES:
+            # no count in the message: a generator side size can have more
+            # digits than int-to-str converts
+            raise ValueError(f"vertex count exceeds the cap of {MAX_VERTICES}")
         self.n_vertices = n_vertices
         # (low, high) -> the pair as inserted, in insertion order
         self._edges: dict[tuple[int, int], tuple[int, int]] = {}

@@ -2,7 +2,8 @@
 
 The oracles here deliberately use different algorithms from the library
 (edge-based girth instead of vertex-based, quadratic conflict predicate
-instead of neighbor rows) so cross-checks are meaningful.
+instead of neighbor rows, a scan of every low vertex instead of a walk of
+one ball) so cross-checks are meaningful.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from collections import deque
 from pathlib import Path
 
 import strongedge
-from strongedge import BipartiteGraph, SimpleGraph, StrongColoring, verify
+from strongedge import BipartiteGraph, SimpleGraph, StrongColoring, distances_from, verify
 from strongedge.solver import EXHAUSTED, FOUND, TIMEOUT, SearchResult
 
 
@@ -227,3 +228,23 @@ def scan_decision_search(cg, palette, special_cap, budget) -> SearchResult:
             raise AssertionError("reference search produced an invalid coloring")
         return SearchResult(FOUND, phi, spent)
     return SearchResult(status, None, spent)
+
+
+def scan_distant_low_pair(state, rng: random.Random) -> tuple[int, int] | None:
+    """Reference low-pair step that scans every low y for each tried x.
+
+    The same step as ``strongedge.generator.find_distant_low_pair`` (the low
+    xs in ``random.Random.shuffle`` order, for each the ys at distance above
+    (g-3) | 1, one ``rng.choice`` among them), but with a full distance
+    list per x and the candidate list built by testing every low y.  Tests
+    compare the production step's pair and generator state against it.
+    """
+    xs = state.x_low.copy()
+    rng.shuffle(xs)
+    cutoff = (state.girth_target - 3) | 1
+    for x in xs:
+        dist = distances_from(state.graph, [x], cutoff)
+        candidates = [y for y in state.y_low if dist[y] < 0]
+        if candidates:
+            return x, rng.choice(candidates)
+    return None

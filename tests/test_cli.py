@@ -1,4 +1,5 @@
 import json
+import resource
 import subprocess
 import sys
 
@@ -251,6 +252,50 @@ class TestBudgetFlags:
         save_dimacs(path, generate(3, 6, choose_n(3, 6), 1)[0])
         assert run("solve", path, "--budget-ms", 0) == 4
         assert "(256 search nodes)" in capsys.readouterr().out
+
+
+class TestOversizedInput:
+    """Sizes far above the vertex cap are refused before anything is
+    allocated.  Each runs in a child process limited to 800 MB of address
+    space, so a check that stops working ends in a MemoryError there, not
+    in the test process."""
+
+    CASES = [
+        ["generate", "--k", "3", "--g", "40"],
+        ["generate", "--k", "3", "--g", "2000"],
+        ["generate", "--k", "3", "--g", "1000000000000"],
+        ["generate", "--k", "3", "--g", "5", "--n", "100000000000"],
+        ["counterexample", "--g", "60"],
+        ["counterexample", "--g", "1100"],
+        ["conjecture2-sweep", "--k", "3", "--g", "1100", "--count", "1"],
+        ["certify", "{big}", "--k", "3"],
+        ["solve", "{big}"],
+    ]
+
+    @staticmethod
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (800_000 * 1024,) * 2)
+
+    @pytest.mark.parametrize("argv", CASES, ids=lambda a: " ".join(a))
+    def test_exits_2_without_traceback(self, tmp_path, argv):
+        big = tmp_path / "big.dimacs"
+        big.write_text("p edge 100000000000 0\n")
+        if argv[0] == "generate":
+            argv = [*argv, "-o", "out.dimacs"]
+        elif argv[0] == "counterexample":
+            argv = [*argv, "-o", "record.json", "--graph-out", "out.dimacs"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "strongedge", *(a.format(big=big) for a in argv)],
+            capture_output=True,
+            text=True,
+            env=cli_env(),
+            cwd=tmp_path,
+            preexec_fn=self.limit_memory,
+            timeout=60,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "cap" in proc.stderr
 
 
 class TestEntryPoint:

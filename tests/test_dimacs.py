@@ -8,6 +8,7 @@ from strongedge import (
     parse_dimacs,
     serialize_dimacs,
 )
+from strongedge.graphs import MAX_VERTICES
 from _helpers import bipartite_cycle, heawood_graph
 
 
@@ -57,6 +58,11 @@ class TestParse:
     def test_missing_header(self):
         with pytest.raises(DimacsParseError):
             parse_dimacs("c nothing here\n")
+
+    def test_vertex_count_above_the_cap_names_the_header(self):
+        with pytest.raises(DimacsParseError, match="cap") as exc:
+            parse_dimacs(f"c size\np edge {MAX_VERTICES + 1} 0\n")
+        assert exc.value.line_no == 2
 
     def test_endpoint_out_of_range(self):
         with pytest.raises(DimacsParseError):

@@ -22,6 +22,8 @@ from strongedge import (
     replay_trace,
 )
 from strongedge.generator import _raise_degree, _shuffle
+from strongedge.graphs import MAX_VERTICES
+from _helpers import scan_distant_low_pair
 
 
 def apply_prefix(trace, t):
@@ -53,6 +55,20 @@ class TestParameterFloors:
             min_n(1, 5)
         with pytest.raises(ValueError):
             min_n(3, 2)
+
+    def test_min_n_is_exact_beyond_float_range(self):
+        # float division returned one less from here on, and overflowed
+        # from min_n(3, 1024)
+        assert min_n(4, 34) == (3**34 + 1) // 2
+        assert min_n(6, 25) == 44703483581542969
+        assert min_n(3, 2000) == 3 * 2**1999
+
+    @pytest.mark.parametrize("k, g", [(3, MAX_VERTICES + 1), (MAX_VERTICES + 1, 5), (3, 10**12)])
+    def test_degree_or_girth_above_the_vertex_cap_rejected(self, k, g):
+        with pytest.raises(ValueError, match="vertex cap"):
+            min_n(k, g)
+        with pytest.raises(ValueError, match="vertex cap"):
+            generate(k, g, 10, force=True)
 
     def test_choose_n_values(self):
         assert choose_n(3, 5) == 48  # 48 mod 5 = 3
@@ -86,6 +102,12 @@ class TestBaseCycle:
         with pytest.raises(ValueError):
             base_cycle(1)
 
+    def test_above_the_vertex_cap_rejected_before_allocating(self):
+        with pytest.raises(ValueError, match="cap"):
+            base_cycle(MAX_VERTICES // 2 + 1)
+        with pytest.raises(ValueError, match="cap"):
+            generate(3, 40, choose_n(3, 40))
+
 
 class TestFindDistantLowPair:
     def test_c10_towards_cubic(self):
@@ -108,6 +130,90 @@ class TestFindDistantLowPair:
         state = AugmentState.from_graph(graph, 3, 3)
         x, y = find_distant_low_pair(state, random.Random(1))
         assert not graph.has_edge(x, y)
+
+
+class TestLowPairEquivalence:
+    """The ball walk against the scan of every low y in ``_helpers``: on each
+    state a build passes through, the same pair and the same generator state
+    after the step, misses included."""
+
+    @pytest.fixture
+    def outcomes(self, monkeypatch):
+        """Check every low-pair step of the builds a test runs against the
+        reference; record (level, hit) for each."""
+        seen = []
+
+        def checked(state, rng):
+            reference = random.Random()
+            reference.setstate(rng.getstate())
+            expected = scan_distant_low_pair(state, reference)
+            pair = find_distant_low_pair(state, rng)
+            assert pair == expected
+            assert rng.getstate() == reference.getstate()
+            seen.append((state.k, pair is not None))
+            return pair
+
+        monkeypatch.setattr("strongedge.generator.find_distant_low_pair", checked)
+        return seen
+
+    @staticmethod
+    def forced_builds(k, g):
+        """Builds below the floor, where balls cover many low ys and some
+        cover all of them; a failed build has checked every step it took."""
+        smallest = max(k, (g + 1) // 2)
+        for n in (smallest, smallest + 1, smallest + 3, 2 * max(k, g)):
+            for seed in range(8):
+                try:
+                    generate(k, g, n, seed, force=True)
+                except ConstructionFailedError:
+                    pass
+
+    @pytest.mark.parametrize("g", range(3, 10))
+    def test_cubic(self, outcomes, g):
+        generate(3, g, choose_n(3, g), seed=g)
+        self.forced_builds(3, g)
+        assert {hit for _, hit in outcomes} == {True, False}
+
+    @pytest.mark.parametrize("g", range(3, 10))
+    def test_quartic(self, outcomes, g):
+        # a level-4 step from a cubic girth-5 graph at every girth target,
+        # whether or not the level can finish
+        for seed in range(2):
+            cubic, _ = generate(3, 5, 48, seed)
+            try:
+                _raise_degree(cubic, 4, g, random.Random(seed))
+            except InternalInvariantError:
+                pass
+        self.forced_builds(4, g)
+        assert {hit for k, hit in outcomes if k == 4} == {True, False}
+
+    @pytest.mark.parametrize("n, g", [(3, 3), (8, 5), (4, 5), (6, 7), (5, 9), (8, 20)])
+    def test_base_cycle(self, n, g):
+        # every x of a cycle sees the same ball: all hit, or all miss and
+        # the step returns None after the shuffle alone
+        for seed in range(3):
+            state = AugmentState.from_graph(base_cycle(n), 3, g)
+            rng = random.Random(seed)
+            pair = find_distant_low_pair(state, rng)
+            reference = random.Random(seed)
+            assert pair == scan_distant_low_pair(state, reference)
+            assert rng.getstate() == reference.getstate()
+            # the farthest y from x lies (n - 1) | 1 hops away
+            assert (pair is None) == ((g - 3) | 1 >= (n - 1) | 1)
+
+    def test_miss_then_hit(self):
+        # C12 plus x0 y3: low x3 sees every low y within 3 hops, the other
+        # low xs do not
+        graph = base_cycle(6)
+        graph.add_edge(0, 6 + 3)
+        state = AugmentState.from_graph(graph, 3, 5)
+        dist = {x: distances_from(graph, [x], 3) for x in state.x_low}
+        covering = [x for x in state.x_low if all(dist[x][y] >= 0 for y in state.y_low)]
+        assert covering == [3]
+        for seed in range(10):  # seeds 0, 1 and 2 try x3 first
+            rng, reference = random.Random(seed), random.Random(seed)
+            assert find_distant_low_pair(state, rng) == scan_distant_low_pair(state, reference)
+            assert rng.getstate() == reference.getstate()
 
 
 class TestShuffle:
@@ -261,17 +367,39 @@ class TestGenerate:
         with pytest.raises(ValueError):
             generate(3, 12, 5, force=True)
 
-    @pytest.mark.parametrize("k, g, levels", [(3, 6, 1), (4, 5, 2)])
-    def test_girth_measured_once_per_level(self, monkeypatch, k, g, levels):
-        calls = []
+    @pytest.mark.parametrize("k, g, calls", [(3, 6, 1), (4, 5, 1), (2, 7, 0)])
+    def test_girth_measured_once_per_build(self, monkeypatch, k, g, calls):
+        measured = []
 
         def counting_girth(graph):
-            calls.append(graph.n_vertices)
+            measured.append(graph.n_vertices)
             return girth(graph)
 
         monkeypatch.setattr("strongedge.generator.girth", counting_girth)
         generate(k, g, choose_n(k, g), 0)
-        assert len(calls) == levels
+        assert len(measured) == calls
+
+    @pytest.mark.parametrize("n, seed, force", [(122, 0, False), (60, 1, True)])
+    def test_level_three_graph_is_a_subgraph_of_the_final_one(self, n, seed, force):
+        # why one girth check bounds every level's girth: a level swaps out
+        # only edges it added itself
+        graph, trace = generate(4, 5, n, seed, force=force)
+        level_three = apply_prefix(trace, n)
+        assert level_three.is_regular(3)
+        assert set(level_three.edges()) <= set(graph.edges())
+        if force:  # swaps in both levels
+            assert any(isinstance(s, SwapStep) for s in trace.steps[:n])
+            assert any(isinstance(s, SwapStep) for s in trace.steps[n:])
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_failing_final_girth_check(self, monkeypatch, k):
+        monkeypatch.setattr("strongedge.generator.girth", lambda graph: 4)
+        n = choose_n(k, 5)
+        with pytest.raises(InternalInvariantError, match="final girth check"):
+            generate(k, 5, n, 0)
+        with pytest.raises(ConstructionFailedError) as exc:
+            generate(k, 5, n, 0, force=True)
+        assert isinstance(exc.value.__cause__, InternalInvariantError)
 
     def test_force_succeeds_or_fails_cleanly(self):
         outcomes = set()

@@ -3,6 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from strongedge.graphs import MAX_VERTICES
+
 from strongedge import (
     INFINITE_GIRTH,
     BipartiteGraph,
@@ -97,6 +99,12 @@ class TestConstruction:
     def test_zero_side_rejected(self, sides):
         with pytest.raises(ValueError):
             BipartiteGraph(*sides)
+
+    def test_vertex_cap_checked_before_allocating(self):
+        with pytest.raises(ValueError, match="cap"):
+            SimpleGraph(MAX_VERTICES + 1)
+        with pytest.raises(ValueError, match="cap"):
+            BipartiteGraph(MAX_VERTICES // 2, MAX_VERTICES // 2 + 1)
 
     def test_duplicate_edge_rejected(self):
         g = BipartiteGraph(2, 2)
