@@ -7,7 +7,6 @@ __version__ = "0.1.0"
 from .bounds import (
     ClassSizeReport,
     CountingCertificate,
-    averaging_identity_check,
     check_class_sizes,
     counting_certificate,
 )
@@ -16,7 +15,6 @@ from .errors import (
     ConstructionFailedError,
     DimacsParseError,
     DuplicateEdgeError,
-    IdentityViolationError,
     InternalInvariantError,
     InvalidEdgeError,
     NotRegularError,
@@ -35,7 +33,6 @@ from .generator import (
     apply_swap,
     generate,
     min_n,
-    replay_trace,
 )
 from .graphs import (
     INFINITE_GIRTH,
@@ -60,7 +57,6 @@ from .solver import (
     SearchResult,
     SolveOutcome,
     StrongColoring,
-    brute_force_chi_s,
     exact_chi_s,
     find_coloring,
     greedy_color,

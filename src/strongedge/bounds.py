@@ -9,18 +9,16 @@ over all m edges gives the window identity
 
 for every color class C, hence |C| <= m / (2k - 1).  When 2k - 1 does not
 divide m the inequality is strict, which forces at least 2k colors.  This
-module packages that argument as a machine-checkable certificate and as
-per-coloring audit checks.  The audits take the windows N(e) from
-:func:`strongedge.graphs.edge_windows`, as tuples of edge positions, the
-same windows the solver's clique bound seeds from.
+module packages that argument as a machine-checkable certificate, and the
+cap it sets as a check on the class sizes of a found coloring.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
-from .errors import IdentityViolationError, NotRegularError
-from .graphs import SimpleGraph, edge_windows
+from .errors import NotRegularError
+from .graphs import SimpleGraph
 
 
 @dataclass(frozen=True)
@@ -38,9 +36,6 @@ class CountingCertificate:
     divisible: bool
     chi_s_lower: int
     regularity_checked: bool
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -90,49 +85,13 @@ def counting_certificate(g: SimpleGraph, k: int) -> CountingCertificate:
     )
 
 
-def averaging_identity_check(g: SimpleGraph, coloring, color: int) -> tuple[int, int]:
-    """Evaluate both sides of the window identity for one color class.
-
-    Returns ``((2k-1) * |C|, sum_e |C intersect N(e)|)``; the two are equal
-    for any edge set in a k-regular graph, and additionally every
-    per-neighborhood intersection has size at most 1 when the coloring is a
-    valid strong coloring.  A violation of either raises
-    :class:`IdentityViolationError`, signalling a coloring or graph bug.
-    """
-    degs = g.degrees()
-    if not degs:
-        raise ValueError("graph has no vertices")
-    k = degs[0]
-    _require_regular(g, k)
-    edges = g.edges()
-    if len(coloring.colors) != len(edges):
-        raise ValueError(
-            f"coloring covers {len(coloring.colors)} edges, graph has {len(edges)}"
-        )
-    colors = coloring.colors
-    lhs = (2 * k - 1) * colors.count(color)
-    rhs = 0
-    for e, ((u, v), window) in enumerate(zip(edges, edge_windows(edges))):
-        hits = sum(colors[j] == color for j in window)
-        if hits > 1:
-            raise IdentityViolationError(
-                f"color {color} appears {hits} times in the closed neighborhood "
-                f"of edge {e} = ({u}, {v})"
-            )
-        rhs += hits
-    if lhs != rhs:
-        raise IdentityViolationError(
-            f"window identity failed for color {color}: {lhs} != {rhs}"
-        )
-    return lhs, rhs
-
-
 def check_class_sizes(g: SimpleGraph, k: int, coloring) -> ClassSizeReport:
     """Count each color class and flag any class above the certificate cap.
 
     Violations are report content, not exceptions: a violation on a verified
-    strong coloring of a verified k-regular graph indicates an internal bug
-    and is escalated by the caller.
+    strong coloring of a verified k-regular graph indicates an internal bug,
+    which :func:`strongedge.pipeline.build_counterexample` escalates on its
+    greedy coloring.
     """
     cert = counting_certificate(g, k)
     counts = coloring.class_sizes()

@@ -23,7 +23,7 @@ from .errors import (
     StrongEdgeError,
     VerificationError,
 )
-from .generator import choose_n, generate
+from .generator import check_floor_fits, choose_n, generate
 from .graphs import SimpleGraph, conflict_graph
 from .pipeline import (
     build_counterexample,
@@ -152,7 +152,10 @@ def _coloring_from_json(graph: SimpleGraph, data: object) -> StrongColoring:
 
 
 def _cmd_generate(args) -> int:
-    n = args.n if args.n is not None else choose_n(args.k, args.g)
+    n = args.n
+    if n is None:
+        check_floor_fits(args.k, args.g)
+        n = choose_n(args.k, args.g)
     graph, trace = generate(args.k, args.g, n, args.seed, force=args.force)
     save_dimacs(args.output, graph)
     if args.trace is not None:

@@ -24,10 +24,6 @@ class InternalInvariantError(StrongEdgeError, RuntimeError):
     """
 
 
-class IdentityViolationError(StrongEdgeError, RuntimeError):
-    """The window-counting identity failed; signals a coloring or graph bug."""
-
-
 class ConstructionFailedError(StrongEdgeError, RuntimeError):
     """Forced generation outside the guaranteed parameter range did not finish.
 

@@ -15,9 +15,8 @@ lifts it in place, and the girth is measured once per build, on the final
 graph.  That bounds every level's girth too: a level swaps out only edges
 it added itself, so each level's graph is a subgraph of the final one.
 
-Every accepted step is recorded in a :class:`GeneratorTrace`; replaying a
-trace from the base cycle reproduces the output graph exactly and re-checks
-the girth invariant after every step.
+Every accepted step is recorded in a :class:`GeneratorTrace`, so the
+output graph can be rebuilt from the base cycle one step at a time.
 """
 
 from __future__ import annotations
@@ -63,6 +62,22 @@ def _check_params(k: int, g: int) -> None:
     if k > MAX_VERTICES or g > MAX_VERTICES:
         raise ValueError(
             f"degree {k} and girth target {g} must not exceed the vertex cap {MAX_VERTICES}"
+        )
+
+
+def check_floor_fits(k: int, g: int) -> None:
+    """Raise ``ValueError`` when min_n(k, g) is above the vertex cap, as told
+    by bit lengths alone.
+
+    For k >= 3, min_n(k, g) > (k-1)^(g-2) >= 2^(b * (g-2)) with b the index
+    of the top bit of k-1.  Callers that build a graph at the floor call
+    this first, so the floor's power, millions of digits long at the largest
+    parameters, is computed only when it is small.  :func:`min_n` and
+    :func:`choose_n` stay exact at every size.
+    """
+    if k >= 3 and ((k - 1).bit_length() - 1) * (g - 2) >= MAX_VERTICES.bit_length() - 1:
+        raise ValueError(
+            f"the guaranteed floor min_n({k}, {g}) exceeds the vertex cap {MAX_VERTICES}"
         )
 
 
@@ -366,12 +381,14 @@ def generate(
     cycle in place, and the girth of the finished graph is measured once.
     """
     _check_params(k, g)
-    floor = min_n(k, g)
-    if not force and n < floor:
-        raise ValueError(
-            f"n={n} is below the guaranteed floor min_n({k}, {g})={floor}; "
-            f"pass force to try anyway"
-        )
+    if not force:
+        check_floor_fits(k, g)
+        floor = min_n(k, g)
+        if n < floor:
+            raise ValueError(
+                f"n={n} is below the guaranteed floor min_n({k}, {g})={floor}; "
+                f"pass force to try anyway"
+            )
     if n < 2 or k > n or 2 * n < g:
         raise ValueError(f"no simple {k}-regular bipartite graph of girth {g} fits n={n}")
 
@@ -387,46 +404,7 @@ def generate(
         if force:
             raise ConstructionFailedError(
                 f"construction failed for n={n} below the guaranteed floor "
-                f"{floor}; retry with a different seed"
+                f"min_n({k}, {g}); retry with a different seed"
             ) from exc
         raise
     return graph, GeneratorTrace(k=k, g=g, n=n, seed=seed, steps=tuple(steps))
-
-
-def replay_trace(trace: GeneratorTrace) -> BipartiteGraph:
-    """Re-apply a trace from the base cycle, re-checking every step.
-
-    Checks after each step that the maximum degree stays at most k and
-    that every newly added edge lies on no cycle shorter than g, raising
-    :class:`InternalInvariantError` on the first violation; combined with
-    the base cycle's girth this certifies girth >= g at every intermediate
-    state.  Returns the reconstructed graph.
-    """
-    graph = base_cycle(trace.n)
-    if 2 * trace.n < trace.g:
-        raise InternalInvariantError("base cycle shorter than the girth target")
-    for idx, step in enumerate(trace.steps):
-        if isinstance(step, AddStep):
-            new_edges = ((step.x, step.y),)
-        else:
-            if not graph.has_edge(step.x_high, step.y_high):
-                raise InternalInvariantError(
-                    f"step {idx}: swap removes missing edge "
-                    f"({step.x_high}, {step.y_high})"
-                )
-            graph.remove_edge(step.x_high, step.y_high)
-            new_edges = step.added
-        for u, v in new_edges:
-            graph.add_edge(u, v)
-        for u, v in new_edges:
-            if not _edge_keeps_girth(graph, u, v, trace.g):
-                raise InternalInvariantError(
-                    f"step {idx}: girth dropped below {trace.g}"
-                )
-            if graph.degree(u) > trace.k or graph.degree(v) > trace.k:
-                raise InternalInvariantError(f"step {idx}: degree exceeds {trace.k}")
-    if not graph.is_regular(trace.k):
-        raise InternalInvariantError("replayed graph is not k-regular")
-    if girth(graph) < trace.g:
-        raise InternalInvariantError("replayed graph has girth below the target")
-    return graph

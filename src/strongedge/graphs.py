@@ -17,7 +17,7 @@ import math
 from collections import deque
 from typing import Iterable, Sequence
 
-from .errors import DuplicateEdgeError, InternalInvariantError, InvalidEdgeError
+from .errors import DuplicateEdgeError, InvalidEdgeError
 
 INFINITE_GIRTH = math.inf
 
@@ -105,15 +105,6 @@ class SimpleGraph:
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < self.n_vertices:
             raise ValueError(f"vertex {v} out of range [0, {self.n_vertices})")
-
-    def check_consistent(self) -> None:
-        """Raise :class:`InternalInvariantError` naming the first mismatch
-        unless the adjacency lists hold exactly the edges (used by tests)."""
-        for u, v in self._edges.values():
-            if v not in self._adj[u] or u not in self._adj[v]:
-                raise InternalInvariantError(f"edge ({u}, {v}) missing from the adjacency lists")
-        if sum(len(a) for a in self._adj) != 2 * len(self._edges):
-            raise InternalInvariantError("adjacency lists and edge count disagree")
 
 
 class BipartiteGraph(SimpleGraph):

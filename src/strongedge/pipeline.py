@@ -19,10 +19,10 @@ from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from . import dimacs
-from .bounds import CountingCertificate, counting_certificate
+from .bounds import CountingCertificate, check_class_sizes, counting_certificate
 from .dimacs import serialize_dimacs
-from .errors import NotRegularError, VerificationError
-from .generator import choose_n, generate, min_n
+from .errors import InternalInvariantError, NotRegularError, VerificationError
+from .generator import check_floor_fits, choose_n, generate, min_n
 from .graphs import SimpleGraph, conflict_graph, girth
 from .solver import greedy_color, min_last_color_usage
 
@@ -199,8 +199,12 @@ def build_counterexample(
     property from scratch (girth, degrees, divisibility) on the path
     :func:`certify_graph` takes before writing ``graph_out`` and emitting
     the record.  For k = 3 the record refutes the five-color bound
-    for large-girth cubic bipartite graphs at girth g.
+    for large-girth cubic bipartite graphs at girth g.  The greedy coloring
+    behind the upper bound is held to the certificate: every class within
+    its cap and at least ``chi_s_lower`` colors, else
+    :class:`InternalInvariantError`.
     """
+    check_floor_fits(k, g)
     n = choose_n(k, g)
     graph, _trace = generate(k, g, n, seed)
     _check(
@@ -214,8 +218,16 @@ def build_counterexample(
     if graph_out is not None:
         Path(graph_out).write_text(text)
     if with_upper_bound:
-        upper = greedy_color(conflict_graph(graph)).n_colors
-        record = replace(record, upper_bound=upper)
+        phi = greedy_color(conflict_graph(graph))
+        report = check_class_sizes(graph, k, phi)
+        lower = record.certificate.chi_s_lower
+        if not report.ok or phi.n_colors < lower:
+            raise InternalInvariantError(
+                f"greedy {phi.n_colors}-coloring breaks the certificate (at least "
+                f"{lower} colors, at most {report.cap} edges a class; "
+                f"over the cap: {list(report.offenders)})"
+            )
+        record = replace(record, upper_bound=phi.n_colors)
     return record
 
 
@@ -250,19 +262,29 @@ def conjecture2_sweep(
 
     Instance i uses side size n_start + i (default floor: min_n) and seed
     seed + i, so caps vary across the sweep.  Rows are computed one after
-    another in n order.
+    another in n order.  The graphs are k-regular, so each of the other
+    2k-1 classes holds at most m // (2k-1) edges, m - cap between them, and
+    every usage is at least the cap; a usage below it raises
+    :class:`InternalInvariantError`.
     """
     if count < 1:
         raise ValueError(f"instance count must be >= 1, got {count}")
-    base_n = min_n(k, g) if n_start is None else n_start
+    if n_start is None:
+        check_floor_fits(k, g)
+        n_start = min_n(k, g)
     rows = []
     for i in range(count):
-        n, inst_seed = base_n + i, seed + i
+        n, inst_seed = n_start + i, seed + i
         graph, _ = generate(k, g, n, inst_seed, force=force)
         m = graph.n_edges
+        cap = m % (2 * k - 1)
         result = min_last_color_usage(
             conflict_graph(graph), k, budget_ms=budget_ms, node_budget=node_budget
         )
+        if result.usage is not None and result.usage < cap:
+            raise InternalInvariantError(
+                f"usage {result.usage} at n={n} is below m mod (2k-1) = {cap}"
+            )
         rows.append(
             Conjecture2Row(
                 k=k,
@@ -270,7 +292,7 @@ def conjecture2_sweep(
                 n=n,
                 seed=inst_seed,
                 m=m,
-                cap=m % (2 * k - 1),
+                cap=cap,
                 usage=result.usage,
                 status=result.status,
             )

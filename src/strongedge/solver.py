@@ -28,8 +28,6 @@ FOUND = "found"
 EXHAUSTED = "none"
 TIMEOUT = "timeout"
 
-BRUTE_FORCE_EDGE_CAP = 14
-
 _CLOCK_CHECK_INTERVAL = 256
 
 
@@ -385,44 +383,6 @@ def exact_chi_s(
     if chi is not None:
         return SolveOutcome("exact", chi, best, chi, chi, budget.nodes)
     return SolveOutcome("upper-bound-only", None, best, lower, upper, budget.nodes)
-
-
-def brute_force_chi_s(cg: ConflictGraph) -> int:
-    """Reference oracle: exact chi'_s by exhaustive search.
-
-    Enumerates canonical colorings (color labels in first-occurrence order)
-    over the nodes in static index order, deepening the color budget one at
-    a time.  No branching heuristics, bounds, or cliques are shared with
-    :func:`exact_chi_s`.  Capped at |E| <= 14.
-    """
-    m = cg.n_nodes
-    if m > BRUTE_FORCE_EDGE_CAP:
-        raise ValueError(
-            f"brute force is capped at {BRUTE_FORCE_EDGE_CAP} edges, got {m}"
-        )
-    if m == 0:
-        return 0
-    adj = cg.adj
-    colors = [0] * m
-
-    def feasible(i: int, used: int, cap: int) -> bool:
-        if i == m:
-            return True
-        banned = {colors[w] for w in adj[i]}
-        for c in range(1, min(used + 1, cap) + 1):
-            if c in banned:
-                continue
-            colors[i] = c
-            if feasible(i + 1, max(used, c), cap):
-                colors[i] = 0
-                return True
-            colors[i] = 0
-        return False
-
-    for cap in range(1, m + 1):
-        if feasible(0, 0, cap):
-            return cap
-    raise InternalInvariantError("m distinct colors always suffice")
 
 
 def min_last_color_usage(

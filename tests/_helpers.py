@@ -1,9 +1,13 @@
 """Shared builders and independent reference oracles for the test suite.
 
-The oracles here deliberately use different algorithms from the library
+Every oracle the tests compare the library against lives here, none in the
+package.  They deliberately use different algorithms from the library
 (edge-based girth instead of vertex-based, quadratic conflict predicate
 instead of neighbor rows, a scan of every low vertex instead of a walk of
-one ball) so cross-checks are meaningful.
+one ball, plain enumeration instead of the decision search, per-vertex
+counts instead of edge windows) so cross-checks are meaningful.  The trace
+replay and the graph consistency check re-derive what the generator and
+the graph type keep up to date incrementally.
 """
 
 from __future__ import annotations
@@ -16,8 +20,22 @@ from collections import deque
 from pathlib import Path
 
 import strongedge
-from strongedge import BipartiteGraph, SimpleGraph, StrongColoring, distances_from, verify
+from strongedge import (
+    AddStep,
+    BipartiteGraph,
+    GeneratorTrace,
+    InternalInvariantError,
+    SimpleGraph,
+    StrongColoring,
+    base_cycle,
+    distances_from,
+    girth,
+    verify,
+)
+from strongedge.generator import _edge_keeps_girth
 from strongedge.solver import EXHAUSTED, FOUND, TIMEOUT, SearchResult
+
+BRUTE_FORCE_EDGE_CAP = 14
 
 
 def cycle_graph(n: int) -> SimpleGraph:
@@ -122,6 +140,33 @@ def brute_girth(g: SimpleGraph) -> int | float:
         if v in dist:
             best = min(best, dist[v] + 1)
     return best
+
+
+def check_consistent(g: SimpleGraph) -> None:
+    """Raise :class:`InternalInvariantError` naming the first mismatch
+    unless the adjacency lists hold exactly the edges."""
+    for u, v in g._edges.values():
+        if v not in g._adj[u] or u not in g._adj[v]:
+            raise InternalInvariantError(f"edge ({u}, {v}) missing from the adjacency lists")
+    if sum(len(a) for a in g._adj) != 2 * len(g._edges):
+        raise InternalInvariantError("adjacency lists and edge count disagree")
+
+
+def window_hits(g: SimpleGraph, colors: list[int], color: int) -> list[int]:
+    """For each edge, in ``g.edges()`` order, how many edges of its window
+    (the edges sharing an endpoint with it, and itself) carry ``color``.
+
+    In a k-regular graph each edge lies in 2k-1 windows, so the hits sum to
+    (2k-1) times the class size (the window identity); a strong coloring
+    has at most one hit per window, since each window is a clique of the
+    conflict graph.
+    """
+    at = [0] * g.n_vertices
+    for (u, v), c in zip(g.edges(), colors):
+        if c == color:
+            at[u] += 1
+            at[v] += 1
+    return [at[u] + at[v] - (c == color) for (u, v), c in zip(g.edges(), colors)]
 
 
 def conflicts_by_definition(g: SimpleGraph, e: int, f: int) -> bool:
@@ -248,3 +293,80 @@ def scan_distant_low_pair(state, rng: random.Random) -> tuple[int, int] | None:
         if candidates:
             return x, rng.choice(candidates)
     return None
+
+
+def replay_trace(trace: GeneratorTrace) -> BipartiteGraph:
+    """Re-apply a trace from the base cycle, re-checking every step.
+
+    Checks after each step that the maximum degree stays at most k and
+    that every newly added edge lies on no cycle shorter than g, raising
+    :class:`InternalInvariantError` on the first violation; combined with
+    the base cycle's girth this certifies girth >= g at every intermediate
+    state.  Returns the reconstructed graph.
+    """
+    graph = base_cycle(trace.n)
+    if 2 * trace.n < trace.g:
+        raise InternalInvariantError("base cycle shorter than the girth target")
+    for idx, step in enumerate(trace.steps):
+        if isinstance(step, AddStep):
+            new_edges = ((step.x, step.y),)
+        else:
+            if not graph.has_edge(step.x_high, step.y_high):
+                raise InternalInvariantError(
+                    f"step {idx}: swap removes missing edge "
+                    f"({step.x_high}, {step.y_high})"
+                )
+            graph.remove_edge(step.x_high, step.y_high)
+            new_edges = step.added
+        for u, v in new_edges:
+            graph.add_edge(u, v)
+        for u, v in new_edges:
+            if not _edge_keeps_girth(graph, u, v, trace.g):
+                raise InternalInvariantError(
+                    f"step {idx}: girth dropped below {trace.g}"
+                )
+            if graph.degree(u) > trace.k or graph.degree(v) > trace.k:
+                raise InternalInvariantError(f"step {idx}: degree exceeds {trace.k}")
+    if not graph.is_regular(trace.k):
+        raise InternalInvariantError("replayed graph is not k-regular")
+    if girth(graph) < trace.g:
+        raise InternalInvariantError("replayed graph has girth below the target")
+    return graph
+
+
+def brute_force_chi_s(cg) -> int:
+    """Reference oracle: exact chi'_s by exhaustive search.
+
+    Enumerates canonical colorings (color labels in first-occurrence order)
+    over the nodes in static index order, deepening the color budget one at
+    a time.  No branching heuristics, bounds, or cliques are shared with
+    :func:`strongedge.exact_chi_s`.  Capped at |E| <= 14.
+    """
+    m = cg.n_nodes
+    if m > BRUTE_FORCE_EDGE_CAP:
+        raise ValueError(
+            f"brute force is capped at {BRUTE_FORCE_EDGE_CAP} edges, got {m}"
+        )
+    if m == 0:
+        return 0
+    adj = cg.adj
+    colors = [0] * m
+
+    def feasible(i: int, used: int, cap: int) -> bool:
+        if i == m:
+            return True
+        banned = {colors[w] for w in adj[i]}
+        for c in range(1, min(used + 1, cap) + 1):
+            if c in banned:
+                continue
+            colors[i] = c
+            if feasible(i + 1, max(used, c), cap):
+                colors[i] = 0
+                return True
+            colors[i] = 0
+        return False
+
+    for cap in range(1, m + 1):
+        if feasible(0, 0, cap):
+            return cap
+    raise InternalInvariantError("m distinct colors always suffice")

@@ -12,8 +12,6 @@ import sys
 import time
 
 from strongedge import (
-    averaging_identity_check,
-    brute_force_chi_s,
     check_class_sizes,
     choose_n,
     conflict_graph,
@@ -25,10 +23,10 @@ from strongedge import (
     load_dimacs,
     min_last_color_usage,
     min_n,
-    replay_trace,
     verify,
 )
 from _helpers import (
+    brute_force_chi_s,
     cli_env,
     complete_bipartite,
     cycle_graph,
@@ -36,7 +34,9 @@ from _helpers import (
     heawood_graph,
     path_graph,
     random_simple_graph,
+    replay_trace,
     star_graph,
+    window_hits,
 )
 
 
@@ -161,8 +161,10 @@ def test_criterion_3_window_identity():
         for phi in colorings:
             assert verify(cg, phi)
             for color in range(1, phi.n_colors + 1):
-                lhs, rhs = averaging_identity_check(graph, phi, color)
-                assert lhs == rhs  # exact integer identity, zero tolerance
+                hits = window_hits(graph, phi.colors, color)
+                # exact integer identity, zero tolerance
+                assert sum(hits) == (2 * k - 1) * phi.usage(color)
+                assert max(hits) <= 1
             report = check_class_sizes(graph, k, phi)
             assert report.ok, f"class over cap: {report.offenders}"
             assert sum(report.counts.values()) == graph.n_edges

@@ -1,12 +1,11 @@
+from dataclasses import asdict
+
 import pytest
 
 from strongedge import (
-    IdentityViolationError,
     NotRegularError,
     SimpleGraph,
     StrongColoring,
-    averaging_identity_check,
-    brute_force_chi_s,
     check_class_sizes,
     conflict_graph,
     counting_certificate,
@@ -16,10 +15,12 @@ from strongedge import (
 )
 from _helpers import (
     bipartite_cycle,
+    brute_force_chi_s,
     complete_bipartite,
     cycle_graph,
     heawood_graph,
     star_graph,
+    window_hits,
 )
 
 
@@ -61,7 +62,7 @@ class TestCertificate:
 
     def test_json_fields_exact(self):
         cert = counting_certificate(heawood_graph(), 3)
-        assert cert.to_json_dict() == {
+        assert asdict(cert) == {
             "k": 3,
             "m": 21,
             "window": 5,
@@ -80,39 +81,49 @@ class TestCertificate:
 
 
 class TestAveragingIdentity:
+    """The window identity (2k-1)|C| = sum over windows of |C in window|
+    holds for every class of a k-regular graph by double counting.  At most
+    one hit per window is what ``verify`` decides, since each window is a
+    clique of the conflict graph, and the cap that follows is what
+    ``check_class_sizes`` holds a coloring to."""
+
     def test_valid_coloring_of_c8_every_color(self):
         g = bipartite_cycle(4)
         phi = greedy_color(conflict_graph(g))
         for color in range(1, phi.n_colors + 1):
-            lhs, rhs = averaging_identity_check(g, phi, color)
-            assert lhs == rhs
+            hits = window_hits(g, phi.colors, color)
+            assert sum(hits) == 3 * phi.usage(color)
+            assert max(hits) <= 1
+        assert check_class_sizes(g, 2, phi).ok
 
     def test_singleton_class_in_k33(self):
         g = complete_bipartite(3, 3)
         phi = StrongColoring(list(range(1, 10)))  # all distinct
         assert verify(conflict_graph(g), phi)
-        assert averaging_identity_check(g, phi, 1) == (5, 5)
+        assert sum(window_hits(g, phi.colors, 1)) == 5
+        assert check_class_sizes(g, 3, phi).counts[1] == 1
 
     def test_empty_class(self):
         g = bipartite_cycle(4)
         phi = greedy_color(conflict_graph(g))
-        assert averaging_identity_check(g, phi, phi.n_colors + 7) == (0, 0)
+        assert sum(window_hits(g, phi.colors, phi.n_colors + 7)) == 0
+        assert phi.n_colors + 7 not in check_class_sizes(g, 2, phi).counts
 
     def test_corrupted_coloring_flagged(self):
         g = complete_bipartite(3, 3)
         colors = list(range(1, 10))
         colors[1] = 1  # two edges of the complete conflict graph share a color
-        with pytest.raises(IdentityViolationError):
-            averaging_identity_check(g, StrongColoring(colors), 1)
+        assert max(window_hits(g, colors, 1)) == 2
+        assert not verify(conflict_graph(g), StrongColoring(colors))
+        assert check_class_sizes(g, 3, StrongColoring(colors)).offenders == (1,)
 
     def test_size_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            averaging_identity_check(bipartite_cycle(4), StrongColoring([1, 2]), 1)
+            verify(conflict_graph(bipartite_cycle(4)), StrongColoring([1, 2]))
 
     def test_not_regular_rejected(self):
-        g = star_graph(3)
         with pytest.raises(NotRegularError):
-            averaging_identity_check(g, StrongColoring([1, 2, 3]), 1)
+            check_class_sizes(star_graph(3), 3, StrongColoring([1, 2, 3]))
 
 
 class TestClassSizes:

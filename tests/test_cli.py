@@ -276,8 +276,23 @@ class TestOversizedInput:
     def limit_memory():
         resource.setrlimit(resource.RLIMIT_AS, (800_000 * 1024,) * 2)
 
+    # The floor (k-1)^(g-1) of these has millions of digits; computing it
+    # took seconds, and bit lengths tell at once that it is above the cap.
+    HUGE_FLOOR_CASES = [
+        ["generate", "--k", "1048576", "--g", "1048576"],
+        ["counterexample", "--k", "1048576", "--g", "1048576"],
+        ["conjecture2-sweep", "--k", "1048576", "--g", "1048576", "--count", "1"],
+    ]
+
     @pytest.mark.parametrize("argv", CASES, ids=lambda a: " ".join(a))
     def test_exits_2_without_traceback(self, tmp_path, argv):
+        self.check_exits_2(tmp_path, argv, timeout=60)
+
+    @pytest.mark.parametrize("argv", HUGE_FLOOR_CASES, ids=lambda a: " ".join(a))
+    def test_huge_floor_exits_2_at_once(self, tmp_path, argv):
+        self.check_exits_2(tmp_path, argv, timeout=5)
+
+    def check_exits_2(self, tmp_path, argv, timeout):
         big = tmp_path / "big.dimacs"
         big.write_text("p edge 100000000000 0\n")
         if argv[0] == "generate":
@@ -291,7 +306,7 @@ class TestOversizedInput:
             env=cli_env(),
             cwd=tmp_path,
             preexec_fn=self.limit_memory,
-            timeout=60,
+            timeout=timeout,
         )
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr

@@ -19,11 +19,10 @@ from strongedge import (
     generate,
     girth,
     min_n,
-    replay_trace,
 )
 from strongedge.generator import _raise_degree, _shuffle
 from strongedge.graphs import MAX_VERTICES
-from _helpers import scan_distant_low_pair
+from _helpers import replay_trace, scan_distant_low_pair
 
 
 def apply_prefix(trace, t):

@@ -20,6 +20,7 @@ from strongedge import (
 from _helpers import (
     bipartite_cycle,
     brute_girth,
+    check_consistent,
     complete_bipartite,
     conflicts_by_definition,
     cycle_graph,
@@ -83,7 +84,7 @@ class TestConstruction:
         g = BipartiteGraph(3, 3)
         assert g.n_vertices == 6
         assert g.n_edges == 0
-        g.check_consistent()
+        check_consistent(g)
 
     def test_single_edge_capable(self):
         g = BipartiteGraph(1, 1)
@@ -153,7 +154,7 @@ class TestRemoval:
         g.remove_edge(1, 0)
         assert g.n_edges == 0
         assert not g.has_edge(0, 1)
-        g.check_consistent()
+        check_consistent(g)
 
     def test_readd_moves_to_the_end(self):
         g = bipartite_cycle(3)
@@ -162,7 +163,7 @@ class TestRemoval:
         g.add_edge(*first)
         assert g.edges() == rest + [first]
         assert g.n_edges == 6
-        g.check_consistent()
+        check_consistent(g)
 
     def test_scripted_swap_on_six_cycle(self):
         # remove one edge, add two: 6 -> 7 edges
@@ -172,7 +173,7 @@ class TestRemoval:
         g.add_edge(0, 4)
         g.add_edge(2, 3)
         assert g.n_edges == 7
-        g.check_consistent()
+        check_consistent(g)
 
     def test_absent_edge_removal_rejected(self):
         g = BipartiteGraph(2, 2)
@@ -182,14 +183,14 @@ class TestRemoval:
             with pytest.raises(InvalidEdgeError):
                 g.remove_edge(*pair)
         assert g.n_edges == 0
-        g.check_consistent()
+        check_consistent(g)
 
     def test_removal_keeps_order_of_the_rest(self):
         g = bipartite_cycle(3)
         edges = g.edges()
         g.remove_edge(*edges[2])
         assert g.edges() == edges[:2] + edges[3:]
-        g.check_consistent()
+        check_consistent(g)
 
 
 class TestDistances:
@@ -343,7 +344,7 @@ class TestGirth:
             edges = graph.edges()
             adjacency = [graph.neighbors(v) for v in range(graph.n_vertices)]
             girth(graph)
-            graph.check_consistent()
+            check_consistent(graph)
             assert graph.edges() == edges
             assert [graph.neighbors(v) for v in range(graph.n_vertices)] == adjacency
             assert girth(graph) == brute_girth(graph)
@@ -466,4 +467,4 @@ class TestProperties:
         rng = random.Random(7)
         for _ in range(30):
             g = random_simple_graph(rng)
-            g.check_consistent()
+            check_consistent(g)

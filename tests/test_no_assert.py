@@ -4,7 +4,8 @@ size may crash the program, so no function recurses either: a recursion
 as deep as its input hits the interpreter's recursion limit.  The runtime
 is stdlib-only, so every import names the standard library or the package:
 numpy, scipy and the like may be installed where the tests run, and a stray
-import of one would pass every other test."""
+import of one would pass every other test.  Every name the package exports
+has a caller outside the tests, so test-only code lives in the tests."""
 
 import ast
 import sys
@@ -13,11 +14,7 @@ from pathlib import Path
 import strongedge
 
 PACKAGE = Path(strongedge.__file__).parent
-
-# (module, function) of the recursions whose depth has a fixed cap: the
-# brute-force oracle's inner ``feasible`` refuses graphs above
-# BRUTE_FORCE_EDGE_CAP edges.
-CAPPED_RECURSION = {("solver.py", "feasible")}
+BENCHMARK = PACKAGE.parents[1] / "perfbench"
 
 
 def _raises_assertion_error(node: ast.AST) -> bool:
@@ -56,20 +53,30 @@ def _calls_itself(func: ast.FunctionDef | ast.AsyncFunctionDef) -> int | None:
     return None
 
 
+def _recursions(tree: ast.AST) -> list[tuple[int, str]]:
+    """(line, function) of every call a function in ``tree`` makes to itself."""
+    found = []
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            line = _calls_itself(func)
+            if line is not None:
+                found.append((line, func.name))
+    return found
+
+
 def test_package_recursion_is_capped():
-    calls = {}  # (module, function) -> line of its call to itself
+    # the cap is zero: no function in the package recurses
+    found = []
     for path in sorted(PACKAGE.rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        for func in ast.walk(tree):
-            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                line = _calls_itself(func)
-                if line is not None:
-                    calls[str(path.relative_to(PACKAGE)), func.name] = line
-    uncapped = [f"{m}:{line} ({name})" for (m, name), line in calls.items()
-                if (m, name) not in CAPPED_RECURSION]
-    assert uncapped == [], "use an explicit stack instead of recursion at " + ", ".join(uncapped)
-    # the check still sees the recursion it exempts
-    assert set(calls) == CAPPED_RECURSION
+        found += [f"{path.relative_to(PACKAGE)}:{line} ({name})" for line, name in _recursions(tree)]
+    assert found == [], "use an explicit stack instead of recursion at " + ", ".join(found)
+    # the check still sees a recursion, plain or through self, when nested
+    probe = ast.parse(
+        "def f(n):\n    def g(i):\n        return g(i - 1)\n"
+        "class C:\n    def h(self):\n        self.h()\n"
+    )
+    assert _recursions(probe) == [(3, "g"), (6, "h")]
 
 
 def _foreign_imports(tree: ast.AST) -> list[tuple[int, str]]:
@@ -100,3 +107,39 @@ def test_package_imports_only_the_standard_library():
     # the check still sees a third-party import, at top level or in a body
     probe = ast.parse("import numpy.linalg\ndef f():\n    from scipy import sparse\n")
     assert _foreign_imports(probe) == [(1, "numpy.linalg"), (3, "scipy")]
+
+
+def _exported_names() -> set[str]:
+    """Names ``strongedge/__init__.py`` imports from its modules."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    return {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    }
+
+
+def _referenced_names(tree: ast.AST) -> set[str]:
+    """Names read, plainly or as attributes, in ``tree``.  A definition, an
+    assignment or an import is not a reference."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            found.add(node.attr)
+    return found
+
+
+def test_every_export_has_a_caller_outside_the_tests():
+    paths = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    paths += [p for p in sorted(BENCHMARK.glob("*.py")) if not p.name.startswith("test_")]
+    used = set()
+    for path in paths:
+        used |= _referenced_names(ast.parse(path.read_text(), filename=str(path)))
+    unused = sorted(_exported_names() - used)
+    assert unused == [], "exported for the tests alone; move to tests/_helpers.py: " + ", ".join(unused)
+    # the check still tells a call from a definition, assignment or import
+    probe = ast.parse("from .x import a\ne = 1\ndef b():\n    return c.d()\n")
+    assert _referenced_names(probe) == {"c", "d"}

@@ -5,9 +5,13 @@ from pathlib import Path
 import pytest
 
 from strongedge import (
+    InternalInvariantError,
+    MinLastUsageResult,
+    StrongColoring,
     VerificationError,
     build_counterexample,
     certify_graph,
+    conflict_graph,
     conjecture2_sweep,
     girth,
     load_dimacs,
@@ -15,7 +19,13 @@ from strongedge import (
     serialize_dimacs,
 )
 from strongedge.pipeline import canonical_json
-from _helpers import bipartite_cycle, complete_bipartite, cycle_graph, heawood_graph
+from _helpers import (
+    bipartite_cycle,
+    brute_force_chi_s,
+    complete_bipartite,
+    cycle_graph,
+    heawood_graph,
+)
 
 
 class TestBuildCounterexample:
@@ -35,9 +45,6 @@ class TestBuildCounterexample:
         assert record.girth == 14
         assert record.certificate.chi_s_lower == 4
         # the lower bound is exact here: brute force agrees on C14
-        from strongedge import brute_force_chi_s, conflict_graph
-        from _helpers import cycle_graph
-
         assert brute_force_chi_s(conflict_graph(cycle_graph(14))) == 4
 
     def test_headline_cubic_girth5(self, tmp_path):
@@ -86,6 +93,14 @@ class TestBuildCounterexample:
             build_counterexample(g, k=3, seed=1, graph_out=out)
         assert exc.value.check == "girth"
         assert not out.exists()
+
+    def test_greedy_coloring_held_to_the_certificate(self, monkeypatch):
+        # m = 144 in five classes: one holds more than the cap 144 // 5 = 28,
+        # and five colors are below the certificate's six
+        fake = StrongColoring([i % 5 + 1 for i in range(144)], verified=True)
+        monkeypatch.setattr("strongedge.pipeline.greedy_color", lambda cg: fake)
+        with pytest.raises(InternalInvariantError, match="breaks the certificate"):
+            build_counterexample(5, k=3, seed=0)
 
     def test_conclusion_mentions_the_bound(self):
         record = build_counterexample(4, k=3, seed=0, with_upper_bound=False)
@@ -205,6 +220,15 @@ class TestSweep:
         assert set(data["rows"][0]) == {
             "k", "g", "n", "seed", "m", "cap", "usage", "status", "flagged",
         }
+
+    def test_usage_below_the_cap_is_a_bug(self, monkeypatch):
+        # min_n(3, 4) = 24: m = 72 and the cap is 72 mod 5 = 2
+        monkeypatch.setattr(
+            "strongedge.pipeline.min_last_color_usage",
+            lambda cg, k, **budgets: MinLastUsageResult("exact", 1, None, 0),
+        )
+        with pytest.raises(InternalInvariantError, match="below m mod"):
+            conjecture2_sweep(3, 4, 1)
 
     def test_count_validation(self):
         with pytest.raises(ValueError):

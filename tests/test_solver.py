@@ -5,7 +5,6 @@ import pytest
 
 from strongedge import (
     StrongColoring,
-    brute_force_chi_s,
     choose_n,
     conflict_graph,
     exact_chi_s,
@@ -17,6 +16,7 @@ from strongedge import (
 )
 from strongedge.solver import _Budget, _clique_lower_bound, _decision_search
 from _helpers import (
+    brute_force_chi_s,
     complete_bipartite,
     cycle_graph,
     heawood_graph,
