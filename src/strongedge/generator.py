@@ -24,6 +24,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from collections import deque
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 from .errors import ConstructionFailedError, InternalInvariantError
@@ -147,7 +148,7 @@ class AugmentState:
 
     ``added`` holds the edges of A as (left, right) pairs in a dict used
     as an ordered set; its order, the graph's edge order, is the sequence
-    the seeded swap draw shuffles.  ``x_low`` and ``y_low`` are sorted
+    the seeded swap draw permutes.  ``x_low`` and ``y_low`` are sorted
     lists of the vertices of each side still at degree k-1 and satisfy
     |x_low| == |y_low| throughout.  Being sorted, they are the sequences
     the seeded draws run on, with no sort per step.
@@ -185,27 +186,26 @@ class AugmentState:
         del self.x_low[i], self.y_low[j]
 
 
-def _shuffle(rng: random.Random, xs: list) -> None:
-    """Shuffle ``xs`` in place with exactly the draws and swaps of
-    ``random.Random.shuffle``.
+def _below(rng: random.Random, n: int) -> int:
+    """A uniform draw from range(n), n >= 1: ``getrandbits`` of n's bit
+    length, drawn again while the value is n or more."""
+    bits = n.bit_length()
+    value = rng.getrandbits(bits)
+    while value >= n:
+        value = rng.getrandbits(bits)
+    return value
 
-    That is a Fisher-Yates shuffle (Knuth's Algorithm P) whose draw below n
-    takes ``getrandbits(n.bit_length())`` until the value is below n.  Here
-    the draw is inlined and the bit count is set once per power-of-two band
-    of n, so the generator state after the call is the same as after the
-    library shuffle; a test holds the two to the same lists and states.
-    """
-    getrandbits = rng.getrandbits
-    top = len(xs) - 1
-    while top > 0:
-        k = (top + 1).bit_length()
-        bottom = (1 << (k - 1)) - 1
-        for i in range(top, bottom - 1, -1):
-            j = getrandbits(k)
-            while j > i:
-                j = getrandbits(k)
-            xs[i], xs[j] = xs[j], xs[i]
-        top = bottom - 1
+
+def _shuffled(rng: random.Random, items: Iterable) -> Iterator:
+    """Yield ``items`` in uniformly random order, drawing each one only when
+    it is asked for: a Fisher-Yates shuffle of a copy, run from the front.
+    A caller that stops after t items has made t draws, not one per item."""
+    pool = list(items)
+    size = len(pool)
+    for i in range(size):
+        j = i + _below(rng, size - i)
+        pool[i], pool[j] = pool[j], pool[i]
+        yield pool[i]
 
 
 def _edge_keeps_girth(graph: BipartiteGraph, u: int, v: int, girth_target: int) -> bool:
@@ -238,9 +238,10 @@ def _edge_keeps_girth(graph: BipartiteGraph, u: int, v: int, girth_target: int) 
 def find_distant_low_pair(state: AugmentState, rng: random.Random) -> tuple[int, int] | None:
     """Some low pair (x_l, y_l) at distance >= g-1, or None if none exists.
 
-    Low vertices are tried in seeded-random order.  For each x_l a layered
-    BFS walks its ball, of radius (g-3) | 1, and collects the low ys it
-    reaches; a uniformly random low y outside the ball is then taken with
+    Low xs are tried in a seeded random order, each drawn only when it is
+    tried, so a step whose first x hits draws no other x.  For each x_l a
+    layered BFS walks its ball, of radius (g-3) | 1, and collects the low ys
+    it reaches; a uniformly random low y outside the ball is then taken with
     one draw below their number, mapped to the y by walking the sorted near
     ones.  The step touches the ball, not every low y.  Any vertex not
     reached within g-2 hops is at distance >= g-1, which is exactly the
@@ -252,11 +253,9 @@ def find_distant_low_pair(state: AugmentState, rng: random.Random) -> tuple[int,
     adj = state.graph._adj
     n_vertices = state.graph.n_vertices
     k = state.k
-    xs = state.x_low.copy()
-    _shuffle(rng, xs)
     ys = state.y_low
     radius = (state.girth_target - 3) | 1
-    for x in xs:
+    for x in _shuffled(rng, state.x_low):
         seen = bytearray(n_vertices)
         seen[x] = 1
         layer = [x]
@@ -275,7 +274,7 @@ def find_distant_low_pair(state: AugmentState, rng: random.Random) -> tuple[int,
         if free:
             # the i-th low y outside the ball: each near y at or below the
             # current guess pushes it one place up the sorted ys
-            i = rng.choice(range(free))
+            i = _below(rng, free)
             near.sort()
             for y in near:
                 if y > ys[i]:
@@ -289,7 +288,8 @@ def find_swap_edge(
     state: AugmentState, x_l: int, y_l: int, rng: random.Random
 ) -> tuple[int, int]:
     """An added edge (x_h, y_h) with all four distances to {x_l, y_l} at
-    least g-1, drawn by shuffling ``state.added`` in its order.
+    least g-1: the first one in a seeded random order of ``state.added``,
+    each edge drawn only when it is tried.
 
     Above the parameter floor such an edge always exists once no distant
     low pair does (the added edges outnumber the ones close to the low
@@ -299,9 +299,7 @@ def find_swap_edge(
     if not state.added:
         raise InternalInvariantError("swap requested with no added edges")
     dist = distances_from(state.graph, [x_l, y_l], state.girth_target - 2)
-    candidates = list(state.added)
-    _shuffle(rng, candidates)
-    for x_h, y_h in candidates:
+    for x_h, y_h in _shuffled(rng, state.added):
         if dist[x_h] < 0 and dist[y_h] < 0:
             return x_h, y_h
     raise InternalInvariantError(
@@ -355,8 +353,8 @@ def _raise_degree(graph: BipartiteGraph, k: int, girth_target: int, rng: random.
             state._raise_low(x_l, y_l)
             steps.append(AddStep(x_l, y_l))
         else:
-            x_l = rng.choice(state.x_low)
-            y_l = rng.choice(state.y_low)
+            x_l = state.x_low[_below(rng, len(state.x_low))]
+            y_l = state.y_low[_below(rng, len(state.y_low))]
             x_h, y_h = find_swap_edge(state, x_l, y_l, rng)
             apply_swap(state, x_l, y_l, x_h, y_h)
             steps.append(SwapStep(x_h, y_h, x_l, y_l))

@@ -7,7 +7,9 @@ instead of neighbor rows, a scan of every low vertex instead of a walk of
 one ball, plain enumeration instead of the decision search, per-vertex
 counts instead of edge windows) so cross-checks are meaningful.  The trace
 replay and the graph consistency check re-derive what the generator and
-the graph type keep up to date incrementally.
+the graph type keep up to date incrementally.  The reference build runs
+the generator's levels on those scans, with the package's draws or with
+the earlier ones that older golden digests pin.
 """
 
 from __future__ import annotations
@@ -18,15 +20,20 @@ import random
 import time
 from collections import deque
 from pathlib import Path
+from typing import Callable, Iterator, NamedTuple
 
 import strongedge
 from strongedge import (
     AddStep,
+    AugmentState,
     BipartiteGraph,
+    ConstructionFailedError,
     GeneratorTrace,
     InternalInvariantError,
     SimpleGraph,
     StrongColoring,
+    SwapStep,
+    apply_swap,
     base_cycle,
     distances_from,
     girth,
@@ -275,24 +282,114 @@ def scan_decision_search(cg, palette, special_cap, budget) -> SearchResult:
     return SearchResult(status, None, spent)
 
 
-def scan_distant_low_pair(state, rng: random.Random) -> tuple[int, int] | None:
+def below(rng: random.Random, n: int) -> int:
+    """Reference draw of a uniform integer in [0, n): take n's bit length of
+    random bits, and take them again while the value is n or more."""
+    while True:
+        value = rng.getrandbits(n.bit_length())
+        if value < n:
+            return value
+
+
+def front_run(rng: random.Random, items) -> Iterator:
+    """Reference lazy shuffle: a Fisher-Yates shuffle of a copy of ``items``
+    run from the front, with one :func:`below` draw for each item asked for."""
+    pool = list(items)
+    for i in range(len(pool)):
+        j = i + below(rng, len(pool) - i)
+        pool[i], pool[j] = pool[j], pool[i]
+        yield pool[i]
+
+
+def _library_order(rng: random.Random, items) -> list:
+    pool = list(items)
+    rng.shuffle(pool)
+    return pool
+
+
+class Draws(NamedTuple):
+    """How a build turns the generator into choices: ``order(rng, items)``
+    gives the order in which to try items, ``pick(rng, seq)`` one item."""
+
+    order: Callable
+    pick: Callable
+
+
+# the draws of the package's generator
+FRONT_RUN = Draws(front_run, lambda rng, seq: seq[below(rng, len(seq))])
+# the draws the generator made before it drew each item only when tried:
+# a library shuffle of every sequence it tries, a library choice for a pick
+LEGACY = Draws(_library_order, random.Random.choice)
+
+
+def scan_distant_low_pair(state, rng: random.Random, draws: Draws = FRONT_RUN) -> tuple[int, int] | None:
     """Reference low-pair step that scans every low y for each tried x.
 
     The same step as ``strongedge.generator.find_distant_low_pair`` (the low
-    xs in ``random.Random.shuffle`` order, for each the ys at distance above
-    (g-3) | 1, one ``rng.choice`` among them), but with a full distance
-    list per x and the candidate list built by testing every low y.  Tests
-    compare the production step's pair and generator state against it.
+    xs in ``draws.order``, for each the ys at distance above (g-3) | 1, one
+    ``draws.pick`` among them), but with a full distance list per x and the
+    candidate list built by testing every low y.  Tests compare the
+    production step's pair and generator state against it.
     """
-    xs = state.x_low.copy()
-    rng.shuffle(xs)
     cutoff = (state.girth_target - 3) | 1
-    for x in xs:
+    for x in draws.order(rng, state.x_low):
         dist = distances_from(state.graph, [x], cutoff)
         candidates = [y for y in state.y_low if dist[y] < 0]
         if candidates:
-            return x, rng.choice(candidates)
+            return x, draws.pick(rng, candidates)
     return None
+
+
+def scan_swap_edge(state, x_l: int, y_l: int, rng: random.Random, draws: Draws) -> tuple[int, int]:
+    """Reference swap-edge step: the first added edge in ``draws.order``
+    whose endpoints are both at distance >= g-1 from the low pair."""
+    dist = distances_from(state.graph, [x_l, y_l], state.girth_target - 2)
+    for x_h, y_h in draws.order(rng, state.added):
+        if dist[x_h] < 0 and dist[y_h] < 0:
+            return x_h, y_h
+    raise InternalInvariantError(f"no added edge is distant from ({x_l}, {y_l})")
+
+
+def reference_generate(
+    k: int, g: int, n: int, seed: int = 0, *, force: bool = False, draws: Draws = FRONT_RUN
+) -> tuple[BipartiteGraph, GeneratorTrace]:
+    """Reference build: the levels 3..k of ``strongedge.generate`` from the
+    base cycle with the reference steps above, the package's
+    :class:`AugmentState` and :func:`apply_swap`, and one final girth check.
+    Takes no input checks; give it parameters ``generate`` accepts."""
+    rng = random.Random(seed)
+    graph = base_cycle(n)
+    steps: list = []
+    try:
+        for level in range(3, k + 1):
+            state = AugmentState.from_graph(graph, level, g)
+            while state.x_low:
+                pair = scan_distant_low_pair(state, rng, draws)
+                if pair is not None:
+                    x_l, y_l = pair
+                    graph.add_edge(x_l, y_l)
+                    state.added[x_l, y_l] = None
+                    state._raise_low(x_l, y_l)
+                    steps.append(AddStep(x_l, y_l))
+                else:
+                    x_l = draws.pick(rng, state.x_low)
+                    y_l = draws.pick(rng, state.y_low)
+                    x_h, y_h = scan_swap_edge(state, x_l, y_l, rng, draws)
+                    apply_swap(state, x_l, y_l, x_h, y_h)
+                    steps.append(SwapStep(x_h, y_h, x_l, y_l))
+        if k >= 3 and girth(graph) < g:
+            raise InternalInvariantError("final girth check failed")
+    except InternalInvariantError as exc:
+        if force:
+            raise ConstructionFailedError(f"reference build failed for n={n}") from exc
+        raise
+    return graph, GeneratorTrace(k=k, g=g, n=n, seed=seed, steps=tuple(steps))
+
+
+def legacy_generate(k: int, g: int, n: int, seed: int = 0, *, force: bool = False):
+    """The build with the draws ``generate`` made before it drew each low x
+    only when tried: the reference the older golden digests pin."""
+    return reference_generate(k, g, n, seed, force=force, draws=LEGACY)
 
 
 def replay_trace(trace: GeneratorTrace) -> BipartiteGraph:

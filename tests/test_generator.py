@@ -1,5 +1,9 @@
+import ast
+import inspect
+import itertools
 import random
 import re
+from collections import Counter
 
 import pytest
 
@@ -20,9 +24,10 @@ from strongedge import (
     girth,
     min_n,
 )
-from strongedge.generator import _raise_degree, _shuffle
+import strongedge.generator
+from strongedge.generator import _raise_degree, _shuffled
 from strongedge.graphs import MAX_VERTICES
-from _helpers import replay_trace, scan_distant_low_pair
+from _helpers import below, front_run, reference_generate, replay_trace, scan_distant_low_pair
 
 
 def apply_prefix(trace, t):
@@ -189,7 +194,7 @@ class TestLowPairEquivalence:
     @pytest.mark.parametrize("n, g", [(3, 3), (8, 5), (4, 5), (6, 7), (5, 9), (8, 20)])
     def test_base_cycle(self, n, g):
         # every x of a cycle sees the same ball: all hit, or all miss and
-        # the step returns None after the shuffle alone
+        # the step returns None after drawing every x
         for seed in range(3):
             state = AugmentState.from_graph(base_cycle(n), 3, g)
             rng = random.Random(seed)
@@ -209,36 +214,76 @@ class TestLowPairEquivalence:
         dist = {x: distances_from(graph, [x], 3) for x in state.x_low}
         covering = [x for x in state.x_low if all(dist[x][y] >= 0 for y in state.y_low)]
         assert covering == [3]
-        for seed in range(10):  # seeds 0, 1 and 2 try x3 first
+        first_tried = [next(front_run(random.Random(seed), state.x_low)) for seed in range(10)]
+        assert 3 in first_tried  # some seed misses at x3 before it hits
+        for seed in range(10):
             rng, reference = random.Random(seed), random.Random(seed)
             assert find_distant_low_pair(state, rng) == scan_distant_low_pair(state, reference)
             assert rng.getstate() == reference.getstate()
 
 
-class TestShuffle:
-    LENGTHS = sorted(
-        set(range(71))
-        | {2**j + d for j in range(12) for d in (-1, 0, 1)}
-        | {1536}
-    )
+class TestReferenceBuild:
+    def test_forced_builds_match_the_reference(self):
+        # the swap branch too: the swap pair and the swap-edge order drawn
+        # as the scan-based reference draws them, or both builds fail; at
+        # n = 200, seeds 3..5 swap with two low pairs left to pick from
+        seen = set()
+        for k, g, n in [(3, 6, 14), (4, 6, 40), (4, 7, 200)]:
+            for seed in range(6):
+                builds = []
+                for build in (generate, reference_generate):
+                    try:
+                        graph, trace = build(k, g, n, seed, force=True)
+                        builds.append((graph.edges(), trace))
+                    except ConstructionFailedError:
+                        builds.append(None)
+                assert builds[0] == builds[1], (k, g, n, seed)
+                seen.add("failed" if builds[0] is None else
+                         any(isinstance(s, SwapStep) for s in builds[0][1].steps))
+        assert seen == {"failed", True, False}
 
-    def test_stdlib_draws_below_n_with_getrandbits(self):
-        # _shuffle inlines this method; a CPython that draws differently
-        # moves every generator golden, and this names the cause
-        assert random.Random._randbelow is random.Random._randbelow_with_getrandbits, (
-            "random.Random._randbelow no longer draws with getrandbits; "
-            "_shuffle no longer reproduces random.Random.shuffle"
-        )
+
+class TestShuffled:
+    LENGTHS = list(range(71)) + [1536]
 
     @pytest.mark.parametrize("seed", range(20))
-    def test_same_list_and_state_as_stdlib_shuffle(self, seed):
+    def test_same_items_and_state_as_reference(self, seed):
         ours, theirs = random.Random(seed), random.Random(seed)
         for n in self.LENGTHS:
-            xs, ys = list(range(n)), list(range(n))
-            _shuffle(ours, xs)
-            theirs.shuffle(ys)
-            assert xs == ys, n
+            items = list(_shuffled(ours, range(n)))
+            assert items == list(front_run(theirs, range(n))), n
+            assert sorted(items) == list(range(n)), n
             assert ours.getstate() == theirs.getstate(), n
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 65, 1536])
+    def test_draws_only_for_the_items_taken(self, n):
+        # one draw below n - i for item i, and none before the first item
+        for t in sorted({0, 1, min(2, n), n // 2, n}):
+            rng, reference = random.Random(n), random.Random(n)
+            taken = list(itertools.islice(_shuffled(rng, range(n)), t))
+            for i in range(t):
+                below(reference, n - i)
+            assert len(taken) == t
+            assert rng.getstate() == reference.getstate(), t
+
+    def test_every_order_of_three_about_equally_often(self):
+        counts = Counter(tuple(_shuffled(random.Random(seed), "abc")) for seed in range(6000))
+        assert len(counts) == 6
+        # 1000 expected each; the binomial spread is about 29
+        assert all(850 < c < 1150 for c in counts.values()), counts
+
+    def test_generator_makes_no_library_draws(self):
+        # the draws rest on getrandbits alone, so no library method whose
+        # draws may change between Python versions moves the graphs
+        tree = ast.parse(inspect.getsource(strongedge.generator))
+        library = {"choice", "choices", "shuffle", "randrange", "randint", "sample", "_randbelow"}
+        called = {
+            node.func.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        }
+        assert "getrandbits" in called
+        assert not called & library
 
 
 class TestRaiseLow:
@@ -298,7 +343,7 @@ class TestSwap:
         deg_h = (graph.degree(x_h), graph.degree(y_h))
         apply_swap(state, x_l, y_l, x_h, y_h)
         assert len(state.added) == size_before + 1
-        # the swap draw shuffles `added` in its order, which must stay the
+        # the swap draw permutes `added` in its order, which must stay the
         # graph's edge order
         assert list(state.added) == [near, (x_l, y_h), (x_h, y_l)]
         assert list(state.added) == [e for e in graph.edges() if e in state.added]
@@ -378,17 +423,32 @@ class TestGenerate:
         generate(k, g, choose_n(k, g), 0)
         assert len(measured) == calls
 
-    @pytest.mark.parametrize("n, seed, force", [(122, 0, False), (60, 1, True)])
-    def test_level_three_graph_is_a_subgraph_of_the_final_one(self, n, seed, force):
+    @staticmethod
+    def assert_level_three_is_a_subgraph(graph, trace, n):
         # why one girth check bounds every level's girth: a level swaps out
         # only edges it added itself
-        graph, trace = generate(4, 5, n, seed, force=force)
         level_three = apply_prefix(trace, n)
         assert level_three.is_regular(3)
         assert set(level_three.edges()) <= set(graph.edges())
-        if force:  # swaps in both levels
-            assert any(isinstance(s, SwapStep) for s in trace.steps[:n])
-            assert any(isinstance(s, SwapStep) for s in trace.steps[n:])
+
+    @pytest.mark.parametrize("n, seed, force", [(122, 0, False)])
+    def test_level_three_graph_is_a_subgraph_of_the_final_one(self, n, seed, force):
+        graph, trace = generate(4, 5, n, seed, force=force)
+        self.assert_level_three_is_a_subgraph(graph, trace, n)
+
+    def test_level_three_graph_is_a_subgraph_when_both_levels_swap(self):
+        n = 60
+        for seed in range(20):  # the first forced build that swaps in both levels
+            try:
+                graph, trace = generate(4, 5, n, seed, force=True)
+            except ConstructionFailedError:
+                continue
+            swapped = [isinstance(s, SwapStep) for s in trace.steps]
+            if any(swapped[:n]) and any(swapped[n:]):
+                break
+        else:
+            pytest.fail("no seed below 20 builds with swaps in both levels")
+        self.assert_level_three_is_a_subgraph(graph, trace, n)
 
     @pytest.mark.parametrize("k", [3, 4])
     def test_failing_final_girth_check(self, monkeypatch, k):
@@ -439,8 +499,15 @@ class TestTrace:
         assert replayed.edges() == graph.edges()
 
     def test_replay_reproduces_swapful_run(self):
-        graph, trace = generate(3, 6, 14, seed=1, force=True)
-        assert any(isinstance(s, SwapStep) for s in trace.steps)
+        for seed in range(20):  # the first forced build that swaps
+            try:
+                graph, trace = generate(3, 6, 14, seed=seed, force=True)
+            except ConstructionFailedError:
+                continue
+            if any(isinstance(s, SwapStep) for s in trace.steps):
+                break
+        else:
+            pytest.fail("no seed below 20 builds with a swap")
         replayed = replay_trace(trace)
         assert replayed.edges() == graph.edges()
 

@@ -9,6 +9,14 @@ literal in the same commit.
 The search pins below hold the solver to the same standard: the greedy
 colorings, and the status, bounds, node counts and colorings of the
 budgeted searches, so a change to the search must explore the same tree.
+
+The ``LEGACY_`` tables pin the builds made with the generator's earlier
+draws, a library shuffle of every sequence tried and a library choice for
+each pick.  They are checked against ``legacy_generate``, the reference
+build with those draws, which stands in for ``generate`` in the pipeline
+for the record, certify and sweep cases.  The plain tables pin the package,
+whose draws take each item only when it is tried; they were computed from
+the reference build with those draws before the package took them up.
 """
 
 from __future__ import annotations
@@ -34,7 +42,7 @@ from strongedge import (
     serialize_dimacs,
 )
 from strongedge.pipeline import canonical_json
-from _helpers import cycle_graph, heawood_graph
+from _helpers import cycle_graph, heawood_graph, legacy_generate
 
 
 def sha256(text: str) -> str:
@@ -43,6 +51,145 @@ def sha256(text: str) -> str:
 
 # (k, g, n, seed, force) -> (DIMACS graph digest, trace digest)
 GENERATE = {
+    (2, 5, 5, 0, False): (
+        "2edf20748b4a298d6cdecc6e374924bffb8218b74f9d67e514727cbd5f8ad086",
+        "2aad34267536d20725e79076f06a5613e16edc2da4b3220cacb0e231d7849ad8",
+    ),
+    (2, 5, 5, 1, False): (
+        "2edf20748b4a298d6cdecc6e374924bffb8218b74f9d67e514727cbd5f8ad086",
+        "8748f6e1f6234d050fa13c40bf7d9b4187689d6cc411498004b7bc42adf20b60",
+    ),
+    (2, 5, 5, 2, False): (
+        "2edf20748b4a298d6cdecc6e374924bffb8218b74f9d67e514727cbd5f8ad086",
+        "70d16ae5d3885ae5d269e476ab7de42ec38859d3495f90cc3d25deb6b66950d7",
+    ),
+    (3, 5, 48, 0, False): (
+        "ca55f5a5e6a54702faa0151f5ff2fe57ab25e521436131f872ad84d8c166d4a4",
+        "ff258f489c2feb1f0b781e71ea9f9727d1985e4e166ce14bd0ef3a4fcb58cca6",
+    ),
+    (3, 5, 48, 1, False): (
+        "93a54137bdbbbe2540b73edbff35bb303f54ca2f3f7f8a37fbaf151941665aa3",
+        "6634139bf9cef1b5a2104429cff8705d56bdbf50e284087aef77a19d6a5fc701",
+    ),
+    (3, 5, 48, 2, False): (
+        "bdb6d648c5d4cbfcbf8ef4563e5633961484fba3cf39228322d73e639700ad2f",
+        "ebaf60bcc5d7608103e9d67fb550f2b5ac2ca7be5b923aa9325afd82b5410934",
+    ),
+    (3, 6, 96, 0, False): (
+        "3f77143a9e355ef3e08e123431d998ca0eefa80dc79911c3789f452479badd60",
+        "8c295d14f307d0e009847693d02efd6d3774a6de1ccf9b86a77163184d7ce5a5",
+    ),
+    (3, 6, 96, 1, False): (
+        "a22d89883ba36e404e23a97b0197ac31ff04ca3ac3b6d4a1cb31fcf92e22a984",
+        "350ace7579a7946f93432faacd08f88d96237c7f23fedca546a1547c09f64113",
+    ),
+    (3, 6, 96, 2, False): (
+        "49cbcee8d97e7219d79fd6ecc78e0ecbc870734aa1de93a4c1d10b13f81e189c",
+        "438c3f1c9190b478b409f84e0ba351c0f5c429ba03342209dff854d59fe21193",
+    ),
+    (3, 7, 192, 0, False): (
+        "16b2aa5390e3b0e0e826d304f50fbceca7fb3a30966b2548e4f901f2c22575e7",
+        "74f7c520f40d0ee60a58981bb98a026bbfa2054d3e7d278154fbe729c411fea6",
+    ),
+    (3, 7, 192, 1, False): (
+        "1cfd8f52c92bcbce12a6a7d6cdd742b3ed7b1aac370e401f4c230b685fff6edb",
+        "4be97f9314cc789d7079ef0d1bdcd2b1e0e88d7f06ca0c14405d729a1956e9a3",
+    ),
+    (3, 7, 192, 2, False): (
+        "80fa9fa073bcb88c991404ac2e7bacc35a5b7bad3bf141c95cec74eb06fc6119",
+        "1da81de12f7a65fdd8f5e4c52c9ef323a0e3d8b94a545a7c0c6a4ecaf27dc293",
+    ),
+    # the longest draws: 768 and 1536 low xs at a level's start
+    (3, 9, 768, 1, False): (
+        "1c0722df86c3fe89d6dd9ccac74656800f3897ac8d0d1b72911d3964511328e3",
+        "5000db694f020b1d9f38fcc5eebaa8a72e98e1610acc5cb3173cb14bf77590cb",
+    ),
+    (3, 10, 1536, 1, False): (
+        "d85b64eb214ddeb8ae0da53ef49b8b348ccbdaeee829e25a5eb4407213c26720",
+        "2d0e54bd8da3dc84571a1b6b16aba71ca9dce62707224a490eff1736da2f064f",
+    ),
+    (4, 5, 122, 0, False): (
+        "c923499b39d108fbab8f71b8676d869371269074f9a53c33d759fd6fcc19fe16",
+        "88dd2ce5096a9f6c5d6716b4a3dd335cf5d7f1427eacb8ea8a10509df5e3fa4c",
+    ),
+    (4, 5, 122, 1, False): (
+        "c71de5d2b7e8c41956d147270c26bd6d7af99f415601de698e78abc9dd0b1109",
+        "9ee8f0d909852d3df63cfc8f047a82d571266a8c0408ce6bd52aef82333e9cf6",
+    ),
+    (4, 5, 122, 2, False): (
+        "b2be853ca4cca2b7b2aec8354232018f49c5d407047e1ed0a6002067e04d0d8c",
+        "7c44450ff4e6345cf4ba896d5fe383581f68e358ddfcb4171ac0a60924e6604f",
+    ),
+    (4, 7, 200, 0, True): (
+        "1c406569d8b765aef2aeab583d0417720125b2253912660aea03e90c25e235ae",
+        "a8b8c30f2ecb62446f8311eb5340c8f042b17aa67dee9998a22637cd4a5bca5b",
+    ),
+    (4, 7, 200, 1, True): (
+        "3b3e61a56d87090de28d5295305eac2c86bd3745a188b64b317fbdcee7f3e5cc",
+        "2f48faae6691da8faa0b77b9daffd9f47abaa558b85765fceba50852c35ab341",
+    ),
+    (4, 7, 200, 2, True): (
+        "c2b98b2a1a6d2146ea04d0681aa1bd1dfc81a8e0046c27677ccb0a7728b094e9",
+        "ef7522e38b8b6b668bbbc223a8ce93663934abfa6f094117047f4d36a9551bb3",
+    ),
+}
+
+# girth target -> digest of the k=3, seed=1 record written with no graph path
+RECORD = {
+    5: "53a26142e228e202e2bf1c135bc35748fd322c70b44e7fddc6be0ae9279f3528",
+    6: "c2bc7b55462a3e35452771000543285298f194c2bb7cfc59088b83775f8c0b0e",
+}
+
+# (k, girth target, with upper bound) -> digest of the seed-1 record whose
+# graph went to the relative path "g.dimacs"
+RECORD_WITH_PATH = {
+    (3, 5, False): "ebc4827af882f14fa993ac138381613752b3b4e8c31d17604203bb6363270cad",
+    (4, 5, True): "aaab9416abf5138439d01b828c39cabe634f0031273d41a553d2b20d717dea98",
+}
+
+# girth target -> digest of certify_graph's k=3 record on the seed-1 graph,
+# read from the relative path "g.dimacs"
+CERTIFY = {
+    5: "a1ba8ba9d2de9d9e8a260f29570bc0eed9edf8ffbf9da517fa05e8e8cf1a4c8c",
+    6: "cd500bde354ae58b5af514b68980636c5bd00d14cd8d1f969bb2544be9f368d2",
+}
+
+# first side size (None = floor) -> digest of conjecture2_sweep(3, 4, 4,
+# node_budget=5000) evidence
+SWEEP = {
+    None: "d03b59b68d1d6dce3384deb1cda4bc4828045638453ec75d273fefededdfb1e0",
+    10: "e35be7d0c33030a43e3e39bc331d6347fa10e73e23a164153bb2af72f8cf57e0",
+}
+
+# girth target -> digest of greedy_color's colors on the k=3, seed=1 graph
+GREEDY = {
+    5: "a3a45649c474fc2a28e867de156ad8c450887c47fb4b51694bc65ffb477f108e",
+    6: "1548e276f875d060ef4b90799d1c895bed8096dee7c23d9684d1cfcca7394f35",
+    7: "61a16354944d5c7ab08488200902a0d4387e949dd25e2efd58c5713fcde28ae3",
+    8: "993d453291526d7756d7d2cb1310120ab735a048845e5b69ea0910a5abb6f482",
+    9: "3e9d65c054d057d5149725e310f2aafc84e2f0ec3ccff1654a1dfa9f2adee138",
+    10: "fd5376b5e44929b5e4c8c0ee2f3a378878c228457bd0f5ad1a36022ce1a41344",
+    11: "740a97f06a818cec4f50fa5276a17e56d3e953a2182aee731a592fae51ad020b",
+}
+
+# girth target -> exact girth of the k=3, seed=1 graph, with either draws;
+# the builds overshoot odd targets by one, since bipartite cycles are even
+GIRTH = {5: 6, 6: 6, 7: 8, 8: 8, 9: 10, 10: 10}
+
+# girth target -> (status, chi_s, lower, upper, nodes) of exact_chi_s with a
+# 5000-node budget on the k=3, seed=1 graph, and the digest of its coloring
+EXACT = {
+    5: (('upper-bound-only', None, 6, 8, 5001),
+        "a3a45649c474fc2a28e867de156ad8c450887c47fb4b51694bc65ffb477f108e"),
+    6: (('upper-bound-only', None, 6, 8, 5001),
+        "1548e276f875d060ef4b90799d1c895bed8096dee7c23d9684d1cfcca7394f35"),
+    7: (('upper-bound-only', None, 5, 9, 5001),
+        "61a16354944d5c7ab08488200902a0d4387e949dd25e2efd58c5713fcde28ae3"),
+}
+
+
+# (k, g, n, seed, force) -> (DIMACS graph digest, trace digest)
+LEGACY_GENERATE = {
     (2, 5, 5, 0, False): (
         "2edf20748b4a298d6cdecc6e374924bffb8218b74f9d67e514727cbd5f8ad086",
         "2aad34267536d20725e79076f06a5613e16edc2da4b3220cacb0e231d7849ad8",
@@ -91,7 +238,7 @@ GENERATE = {
         "92dddf28e1159dd82bee452b59ae4d854a967cf28885155cde21a9754627ea5d",
         "18d7d40ff1d5942ab5439c45b98c13da408e18c6c4969614114e8a6093e04de5",
     ),
-    # the only builds whose shuffles cross the 512 and 1024 length bands
+    # the only builds whose shuffles crossed the 512 and 1024 length bands
     (3, 9, 768, 1, False): (
         "8270eef9e35213a60fa44f7efac607a8073587105752fe3ce959292ffa93a9ea",
         "ad77e679ee0faa274ef81be7c20fb6980bb3e6696018bc4060c44287fc42ca55",
@@ -127,35 +274,34 @@ GENERATE = {
 }
 
 # girth target -> digest of the k=3, seed=1 record written with no graph path
-RECORD = {
+LEGACY_RECORD = {
     5: "437283049f96195aa3cf1c016312a080b1738466b83c25ca446ec27d7154256f",
     6: "32e928c8e0972c277658d7fb4e5f56b8249cf1d4501a8a1c3765a13d3afade63",
 }
 
 # (k, girth target, with upper bound) -> digest of the seed-1 record whose
 # graph went to the relative path "g.dimacs"
-RECORD_WITH_PATH = {
+LEGACY_RECORD_WITH_PATH = {
     (3, 5, False): "e64ce71913d84d78b56cd0f94c525e8952eda649e204f15a6fa660b7c8868a5d",
     (4, 5, True): "f584b95bcc19c47486b2be742d7cf698197943756dca909a7fcea6fbafe7f34b",
 }
 
 # girth target -> digest of certify_graph's k=3 record on the seed-1 graph,
 # read from the relative path "g.dimacs"
-CERTIFY = {
+LEGACY_CERTIFY = {
     5: "851a3c9b093bc8abd5b5ca3d1512e6d8a62f50a3ab3aa283aab966ce2a7a67f0",
     6: "7cb18a67234bc446b24a74d56460d0c7661d8e4467f831159252294cc5c35710",
 }
 
 # first side size (None = floor) -> digest of conjecture2_sweep(3, 4, 4,
 # node_budget=5000) evidence
-SWEEP = {
+LEGACY_SWEEP = {
     None: "d03b59b68d1d6dce3384deb1cda4bc4828045638453ec75d273fefededdfb1e0",
     10: "b116ea00211489c6028c8f9d6335406d3ae86f5eac21b80526687650177b16cf",
 }
 
-
 # girth target -> digest of greedy_color's colors on the k=3, seed=1 graph
-GREEDY = {
+LEGACY_GREEDY = {
     5: "8d0065505911515d7a8d8e4defca87741b61c16d22ded725461ac093de38efde",
     6: "8c3b1c75d12ddc77b77fdfe57bb5e7820ba5b47d71aea5ec21f5de6619be94e7",
     7: "8ef52de994a48a4c98e23d57ce4fba1d51fd562ea324a942b354f5a77eafc41e",
@@ -165,13 +311,9 @@ GREEDY = {
     11: "4b7f2a86aad91610e79d7b593fbe9be86e37abacdc0f2937eafa5acf97980c4a",
 }
 
-# girth target -> exact girth of the k=3, seed=1 graph; the builds
-# overshoot odd targets by one, since bipartite cycles are even
-GIRTH = {5: 6, 6: 6, 7: 8, 8: 8, 9: 10, 10: 10}
-
 # girth target -> (status, chi_s, lower, upper, nodes) of exact_chi_s with a
 # 5000-node budget on the k=3, seed=1 graph, and the digest of its coloring
-EXACT = {
+LEGACY_EXACT = {
     5: (("upper-bound-only", None, 6, 8, 5001),
         "8d0065505911515d7a8d8e4defca87741b61c16d22ded725461ac093de38efde"),
     6: (("upper-bound-only", None, 5, 8, 5001),
@@ -197,66 +339,127 @@ USAGE = {
 }
 
 
+
 def colors_digest(colors: list[int]) -> str:
     return sha256(json.dumps(colors, separators=(",", ":")))
 
 
-def k3_conflict_graph(g: int, seed: int):
-    graph, _ = generate(3, g, choose_n(3, g), seed)
+def k3_conflict_graph(g: int, seed: int, build=generate):
+    graph, _ = build(3, g, choose_n(3, g), seed)
     return conflict_graph(graph)
 
 
+@pytest.fixture
+def legacy(monkeypatch):
+    """Let the pipeline build its graphs with the earlier draws."""
+    monkeypatch.setattr("strongedge.pipeline.generate", legacy_generate)
+
+
+def generate_pin(build, case) -> tuple[str, str]:
+    k, g, n, seed, force = case
+    graph, trace = build(k, g, n, seed, force=force)
+    return sha256(serialize_dimacs(graph)), sha256(trace.to_text())
+
+
 def test_unforced_sizes_are_choose_n():
-    for k, g, n, _seed, force in GENERATE:
+    for k, g, n, _seed, force in GENERATE.keys() | LEGACY_GENERATE.keys():
         assert force or choose_n(k, g) == n
+
+
+def test_degree_two_needs_no_draws():
+    # the base cycle is the whole build, so the draws cannot move it
+    for case in GENERATE:
+        if case[0] == 2:
+            assert GENERATE[case] == LEGACY_GENERATE[case]
 
 
 @pytest.mark.parametrize("case", sorted(GENERATE), ids=lambda c: "k{}-g{}-n{}-s{}".format(*c))
 def test_generate_graph_and_trace(case):
-    k, g, n, seed, force = case
-    graph, trace = generate(k, g, n, seed, force=force)
-    assert (sha256(serialize_dimacs(graph)), sha256(trace.to_text())) == GENERATE[case]
+    assert generate_pin(generate, case) == GENERATE[case]
+
+
+@pytest.mark.parametrize("case", sorted(LEGACY_GENERATE), ids=lambda c: "k{}-g{}-n{}-s{}".format(*c))
+def test_legacy_generate_graph_and_trace(case):
+    assert generate_pin(legacy_generate, case) == LEGACY_GENERATE[case]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_forced_build_below_floor_fails(seed):
     with pytest.raises(ConstructionFailedError):
         generate(4, 7, 130, seed, force=True)
+    with pytest.raises(ConstructionFailedError):
+        legacy_generate(4, 7, 130, seed, force=True)
+
+
+def record_pin(g: int) -> str:
+    record = build_counterexample(g, 3, 1)
+    assert record.graph_path is None
+    return sha256(canonical_json(record.to_json_dict()))
 
 
 @pytest.mark.parametrize("g", sorted(RECORD))
 def test_counterexample_record(g):
-    record = build_counterexample(g, 3, 1)
-    assert record.graph_path is None
-    assert sha256(canonical_json(record.to_json_dict())) == RECORD[g]
+    assert record_pin(g) == RECORD[g]
 
 
-@pytest.mark.parametrize("case", sorted(RECORD_WITH_PATH), ids=lambda c: "k{}-g{}-ub{}".format(*c))
-def test_counterexample_record_with_graph_path(case, tmp_path, monkeypatch):
+@pytest.mark.parametrize("g", sorted(LEGACY_RECORD))
+def test_legacy_counterexample_record(g, legacy):
+    assert record_pin(g) == LEGACY_RECORD[g]
+
+
+def record_with_path_pin(case, tmp_path, monkeypatch) -> str:
     k, g, with_upper_bound = case
     monkeypatch.chdir(tmp_path)
     record = build_counterexample(
         g, k, 1, graph_out="g.dimacs", with_upper_bound=with_upper_bound
     )
     assert record.graph_path == "g.dimacs"
-    assert sha256(canonical_json(record.to_json_dict())) == RECORD_WITH_PATH[case]
+    return sha256(canonical_json(record.to_json_dict()))
+
+
+@pytest.mark.parametrize("case", sorted(RECORD_WITH_PATH), ids=lambda c: "k{}-g{}-ub{}".format(*c))
+def test_counterexample_record_with_graph_path(case, tmp_path, monkeypatch):
+    assert record_with_path_pin(case, tmp_path, monkeypatch) == RECORD_WITH_PATH[case]
+
+
+@pytest.mark.parametrize("case", sorted(LEGACY_RECORD_WITH_PATH), ids=lambda c: "k{}-g{}-ub{}".format(*c))
+def test_legacy_counterexample_record_with_graph_path(case, tmp_path, monkeypatch, legacy):
+    assert record_with_path_pin(case, tmp_path, monkeypatch) == LEGACY_RECORD_WITH_PATH[case]
+
+
+def certify_pin(build, g: int, tmp_path, monkeypatch) -> str:
+    monkeypatch.chdir(tmp_path)
+    graph, _ = build(3, g, choose_n(3, g), 1)
+    (tmp_path / "g.dimacs").write_text(serialize_dimacs(graph))
+    record = certify_graph("g.dimacs", 3)
+    return sha256(canonical_json(record.to_json_dict()))
 
 
 @pytest.mark.parametrize("g", sorted(CERTIFY))
 def test_certify_record(g, tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    graph, _ = generate(3, g, choose_n(3, g), 1)
-    (tmp_path / "g.dimacs").write_text(serialize_dimacs(graph))
-    record = certify_graph("g.dimacs", 3)
-    assert sha256(canonical_json(record.to_json_dict())) == CERTIFY[g]
+    assert certify_pin(generate, g, tmp_path, monkeypatch) == CERTIFY[g]
+
+
+@pytest.mark.parametrize("g", sorted(LEGACY_CERTIFY))
+def test_legacy_certify_record(g, tmp_path, monkeypatch):
+    assert certify_pin(legacy_generate, g, tmp_path, monkeypatch) == LEGACY_CERTIFY[g]
+
+
+def sweep_pin(n_start) -> str:
+    evidence = conjecture2_sweep(
+        3, 4, 4, node_budget=5000, n_start=n_start, force=n_start is not None
+    )
+    return sha256(canonical_json(evidence.to_json_dict()))
 
 
 @pytest.mark.parametrize("n_start", [None, 10], ids=["floor", "forced-n10"])
 def test_sweep_evidence(n_start):
-    evidence = conjecture2_sweep(
-        3, 4, 4, node_budget=5000, n_start=n_start, force=n_start is not None
-    )
-    assert sha256(canonical_json(evidence.to_json_dict())) == SWEEP[n_start]
+    assert sweep_pin(n_start) == SWEEP[n_start]
+
+
+@pytest.mark.parametrize("n_start", [None, 10], ids=["floor", "forced-n10"])
+def test_legacy_sweep_evidence(n_start, legacy):
+    assert sweep_pin(n_start) == LEGACY_SWEEP[n_start]
 
 
 @pytest.mark.parametrize("g", sorted(GREEDY))
@@ -264,9 +467,16 @@ def test_greedy_coloring(g):
     assert colors_digest(greedy_color(k3_conflict_graph(g, 1)).colors) == GREEDY[g]
 
 
+@pytest.mark.parametrize("g", sorted(LEGACY_GREEDY))
+def test_legacy_greedy_coloring(g):
+    cg = k3_conflict_graph(g, 1, legacy_generate)
+    assert colors_digest(greedy_color(cg).colors) == LEGACY_GREEDY[g]
+
+
 @pytest.mark.parametrize("g", sorted(GIRTH))
 def test_exact_girth(g):
     assert girth(generate(3, g, choose_n(3, g), 1)[0]) == GIRTH[g]
+    assert girth(legacy_generate(3, g, choose_n(3, g), 1)[0]) == GIRTH[g]
 
 
 def exact_pin(out) -> tuple:
@@ -279,12 +489,23 @@ def test_exact_search(g):
     assert exact_pin(exact_chi_s(k3_conflict_graph(g, 1), node_budget=5000)) == EXACT[g]
 
 
+@pytest.mark.parametrize("g", sorted(LEGACY_EXACT))
+def test_legacy_exact_search(g):
+    cg = k3_conflict_graph(g, 1, legacy_generate)
+    assert exact_pin(exact_chi_s(cg, node_budget=5000)) == LEGACY_EXACT[g]
+
+
 def test_exact_search_on_heawood():
     assert exact_pin(exact_chi_s(conflict_graph(heawood_graph()))) == EXACT_HEAWOOD
 
 
 def test_find_coloring_runs_to_its_budget():
     res = find_coloring(k3_conflict_graph(8, 8), 7, node_budget=2000)
+    assert (res.status, res.nodes) == ("timeout", 2001)
+
+
+def test_legacy_find_coloring_runs_to_its_budget():
+    res = find_coloring(k3_conflict_graph(8, 8, legacy_generate), 7, node_budget=2000)
     assert (res.status, res.nodes) == ("timeout", 2001)
 
 
