@@ -25,7 +25,7 @@ from strongedge import (
     min_n,
 )
 import strongedge.generator
-from strongedge.generator import _raise_degree, _shuffled
+from strongedge.generator import _below, _raise_degree, _shuffled
 from strongedge.graphs import MAX_VERTICES
 from _helpers import below, front_run, reference_generate, replay_trace, scan_distant_low_pair
 
@@ -243,6 +243,38 @@ class TestReferenceBuild:
         assert seen == {"failed", True, False}
 
 
+class TestShuffle:
+    LENGTHS = sorted(
+        set(range(71))
+        | {2**j + d for j in range(12) for d in (-1, 0, 1)}
+        | {1536}
+    )
+
+    def test_stdlib_draws_below_n_with_getrandbits(self):
+        # the older goldens are checked against a build with the library's
+        # shuffle and choice; a CPython that draws differently moves them,
+        # and this names the cause
+        assert random.Random._randbelow is random.Random._randbelow_with_getrandbits, (
+            "random.Random._randbelow no longer draws with getrandbits; "
+            "the library draws no longer match _below"
+        )
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_same_list_and_state_as_stdlib_shuffle(self, seed):
+        # _below is the library's draw below n: a shuffle run from the back
+        # on it, as the library runs its own, gives the library's list and
+        # state, across every power-of-two band of n
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for n in self.LENGTHS:
+            xs, ys = list(range(n)), list(range(n))
+            for i in range(n - 1, 0, -1):
+                j = _below(ours, i + 1)
+                xs[i], xs[j] = xs[j], xs[i]
+            theirs.shuffle(ys)
+            assert xs == ys, n
+            assert ours.getstate() == theirs.getstate(), n
+
+
 class TestShuffled:
     LENGTHS = list(range(71)) + [1536]
 
@@ -431,7 +463,7 @@ class TestGenerate:
         assert level_three.is_regular(3)
         assert set(level_three.edges()) <= set(graph.edges())
 
-    @pytest.mark.parametrize("n, seed, force", [(122, 0, False)])
+    @pytest.mark.parametrize("n, seed, force", [(122, 0, False), (60, 1, True)])
     def test_level_three_graph_is_a_subgraph_of_the_final_one(self, n, seed, force):
         graph, trace = generate(4, 5, n, seed, force=force)
         self.assert_level_three_is_a_subgraph(graph, trace, n)
