@@ -26,6 +26,7 @@ from bisect import bisect_left
 from collections import deque
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .errors import ConstructionFailedError, InternalInvariantError
 from .graphs import MAX_VERTICES, BipartiteGraph, distances_from, girth
@@ -151,7 +152,8 @@ class AugmentState:
     the seeded swap draw permutes.  ``x_low`` and ``y_low`` are sorted
     lists of the vertices of each side still at degree k-1 and satisfy
     |x_low| == |y_low| throughout.  Being sorted, they are the sequences
-    the seeded draws run on, with no sort per step.
+    the seeded draws run on, with no sort per step.  The set ``low_ys``
+    mirrors ``y_low``; only :meth:`_raise_low` changes either after set-up.
     """
 
     graph: BipartiteGraph
@@ -160,14 +162,16 @@ class AugmentState:
     added: dict[tuple[int, int], None] = field(default_factory=dict)
     x_low: list[int] = field(default_factory=list)
     y_low: list[int] = field(default_factory=list)
+    low_ys: set[int] = field(default_factory=set)
 
     @classmethod
     def from_graph(cls, graph: BipartiteGraph, k: int, girth_target: int) -> "AugmentState":
         state = cls(graph=graph, k=k, girth_target=girth_target)
+        adj, n_left = graph._adj, graph.n_left
         for v in range(graph.n_vertices):
-            d = graph.degree(v)
+            d = len(adj[v])
             if d == k - 1:
-                (state.x_low if graph.is_left(v) else state.y_low).append(v)
+                (state.x_low if v < n_left else state.y_low).append(v)
             elif d != k:
                 raise ValueError(
                     f"vertex {v} has degree {d}; expected {k - 1} or {k}"
@@ -177,18 +181,23 @@ class AugmentState:
                 f"unbalanced low sets: |x_low|={len(state.x_low)} "
                 f"|y_low|={len(state.y_low)}"
             )
+        state.low_ys.update(state.y_low)
         return state
 
     def _raise_low(self, x: int, y: int) -> None:
-        i, j = bisect_left(self.x_low, x), bisect_left(self.y_low, y)
-        if self.x_low[i : i + 1] != [x] or self.y_low[j : j + 1] != [y]:
+        xs, ys = self.x_low, self.y_low
+        i, j = bisect_left(xs, x), bisect_left(ys, y)
+        if i == len(xs) or j == len(ys) or xs[i] != x or ys[j] != y:
             raise InternalInvariantError(f"({x}, {y}) is not a pair of low vertices")
-        del self.x_low[i], self.y_low[j]
+        del xs[i], ys[j]
+        self.low_ys.remove(y)
 
 
 def _below(rng: random.Random, n: int) -> int:
-    """A uniform draw from range(n), n >= 1: ``getrandbits`` of n's bit
-    length, drawn again while the value is n or more."""
+    """A uniform draw from range(n): ``getrandbits`` of n's bit length, drawn
+    again while the value is n or more.  ``ValueError`` for n < 1."""
+    if n < 1:
+        raise ValueError(f"cannot draw below {n}")
     bits = n.bit_length()
     value = rng.getrandbits(bits)
     while value >= n:
@@ -240,42 +249,41 @@ def find_distant_low_pair(state: AugmentState, rng: random.Random) -> tuple[int,
 
     Low xs are tried in a seeded random order, each drawn only when it is
     tried, so a step whose first x hits draws no other x.  For each x_l a
-    layered BFS walks its ball, of radius (g-3) | 1, and collects the low ys
-    it reaches; a uniformly random low y outside the ball is then taken with
-    one draw below their number, mapped to the y by walking the sorted near
-    ones.  The step touches the ball, not every low y.  Any vertex not
-    reached within g-2 hops is at distance >= g-1, which is exactly the
-    admission threshold.  The radius is the largest odd depth <= g-2: the
-    graph is bipartite, so every y lies at odd distance from x, and when
-    g-2 is even the last layer holds only left vertices and keeps no y out.
-    Within a level a vertex is low exactly when its degree is below k.
+    layered BFS walks its ball, of radius r = (g-3) | 1, to depth r-1 only;
+    the near low ys are ``state.low_ys`` met with the neighbors of the left
+    vertices it reached, in one C-level pass.  A uniformly random low y
+    outside the ball is taken with one draw below their number, mapped to
+    the y by walking the sorted near ones.  Any vertex not reached within
+    g-2 hops is at distance >= g-1, which is exactly the admission
+    threshold.  r is the largest odd depth <= g-2: the graph is bipartite,
+    so every y lies at odd distance from x, next to a left vertex at depth
+    at most r-1, and when g-2 is even no y lies at depth g-2.
     """
     adj = state.graph._adj
     n_vertices = state.graph.n_vertices
-    k = state.k
     ys = state.y_low
     radius = (state.girth_target - 3) | 1
     for x in _shuffled(rng, state.x_low):
         seen = bytearray(n_vertices)
         seen[x] = 1
         layer = [x]
-        near: list[int] = []
-        for depth in range(1, radius + 1):
+        lefts = [x]
+        for depth in range(1, radius):
             reached = []
             for u in layer:
                 for w in adj[u]:
                     if not seen[w]:
                         seen[w] = 1
                         reached.append(w)
-            if depth & 1:
-                near += [y for y in reached if len(adj[y]) < k]
+            if not depth & 1:
+                lefts += reached
             layer = reached
+        near = sorted(state.low_ys.intersection(chain.from_iterable(map(adj.__getitem__, lefts))))
         free = len(ys) - len(near)
         if free:
             # the i-th low y outside the ball: each near y at or below the
             # current guess pushes it one place up the sorted ys
             i = _below(rng, free)
-            near.sort()
             for y in near:
                 if y > ys[i]:
                     break

@@ -129,13 +129,12 @@ class BipartiteGraph(SimpleGraph):
 
         The endpoints are stored left first.
         """
-        if self.is_left(u) == self.is_left(v):
+        if not (0 <= u < self.n_vertices and 0 <= v < self.n_vertices):
+            self._check_vertex(u)
+            self._check_vertex(v)
+        if (u < self.n_left) == (v < self.n_left):
             raise ValueError(f"vertices {u} and {v} are on the same side")
-        self._insert(min(u, v), max(u, v))
-
-    def is_left(self, v: int) -> bool:
-        self._check_vertex(v)
-        return v < self.n_left
+        self._insert(u, v) if u < v else self._insert(v, u)
 
 
 def distances_from(g: SimpleGraph, sources: Iterable[int], cutoff: int) -> list[int]:
@@ -169,14 +168,33 @@ def distances_from(g: SimpleGraph, sources: Iterable[int], cutoff: int) -> list[
     return dist
 
 
+def two_coloring(g: SimpleGraph) -> tuple[list[int], tuple[int, int] | None]:
+    """Sides 0 and 1 by depth-first search from each uncolored vertex in turn,
+    stopped at the first edge found inside a side; that edge, or None."""
+    side = [-1] * g.n_vertices
+    for start in range(g.n_vertices):
+        if side[start] < 0:
+            side[start], stack = 0, [start]
+            while stack:
+                u = stack.pop()
+                for w in g._adj[u]:
+                    if side[w] < 0:
+                        side[w] = 1 - side[u]
+                        stack.append(w)
+                    elif side[w] == side[u]:
+                        return side, (u, w)
+    return side, None
+
+
 def girth(g: SimpleGraph) -> int | float:
     """Length of a shortest cycle, or ``INFINITE_GIRTH`` for forests.
 
-    One BFS per root, each cut off once ``2 * du >= best``, run on a graph
-    that shrinks as it goes: after a root's BFS the root is deleted, and
-    then every vertex left with at most one neighbor is peeled away, until
-    what remains is a 2-core.  This is exact, since girth(H) is the minimum
-    of the shortest cycle through r and girth(H - r), a vertex of degree at
+    One BFS per root, each cut off once ``2 * du + slack >= best`` (slack 2
+    when :func:`two_coloring` finds no odd cycle, else 1), on a graph that
+    shrinks as it goes: after a root's BFS the root is deleted, and then
+    every vertex left with at most one neighbor is peeled away, until what
+    remains is a 2-core.  This is exact, since girth(H) is the minimum of
+    the shortest cycle through r and girth(H - r), a vertex of degree at
     most 1 lies on no cycle, and every length a BFS reports closes a walk
     that contains a cycle of what remains.  On a bipartite graph with its
     left side numbered first, each deleted left root lowers the degrees of
@@ -206,6 +224,7 @@ def girth(g: SimpleGraph) -> int | float:
                     if degree[w] == 1:
                         doomed.append(w)
 
+    slack = 1 if two_coloring(g)[1] else 2
     peel([v for v in range(n) if degree[v] <= 1])
     for root in range(n):
         if deleted[root]:
@@ -214,10 +233,10 @@ def girth(g: SimpleGraph) -> int | float:
         queue = [root]
         for u in queue:
             du = dist[u]
-            # A cycle closed from depth du is at least 2 * du long, and the
-            # queue's depths never fall, so once 2 * du >= best no later
-            # vertex can improve `best`.
-            if 2 * du >= best:
+            # Expanding depth du closes walks of 2 * du + 1 (inside the layer:
+            # odd) or 2 * du + 2; one back to depth du - 1 closed there.  Depths
+            # never fall, so past this bound no later vertex improves `best`.
+            if 2 * du + slack >= best:
                 break
             for w in adj[u]:
                 # a simple graph has one edge to the parent: skipping the

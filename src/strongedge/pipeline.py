@@ -23,7 +23,7 @@ from .bounds import CountingCertificate, check_class_sizes, counting_certificate
 from .dimacs import serialize_dimacs
 from .errors import InternalInvariantError, NotRegularError, VerificationError
 from .generator import check_floor_fits, choose_n, generate, min_n
-from .graphs import SimpleGraph, conflict_graph, girth
+from .graphs import SimpleGraph, conflict_graph, girth, two_coloring
 from .solver import greedy_color, min_last_color_usage
 
 
@@ -111,22 +111,10 @@ def _verify_bipartite(graph: SimpleGraph) -> int:
     Any declared bipartition is ignored: the sides are re-derived by
     2-coloring the graph.
     """
-    side = [-1] * graph.n_vertices
-    for start in range(graph.n_vertices):
-        if side[start] >= 0:
-            continue
-        side[start] = 0
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for w in graph.neighbors(u):
-                if side[w] < 0:
-                    side[w] = 1 - side[u]
-                    stack.append(w)
-                elif side[w] == side[u]:
-                    raise VerificationError(
-                        "bipartite", f"odd cycle through vertices {u} and {w}"
-                    )
+    side, clash = two_coloring(graph)
+    if clash is not None:
+        u, w = clash
+        raise VerificationError("bipartite", f"odd cycle through vertices {u} and {w}")
     n_left = side.count(0)
     n_right = graph.n_vertices - n_left
     _check("balanced-sides", n_left == n_right, f"sides are ({n_left}, {n_right})")

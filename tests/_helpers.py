@@ -284,7 +284,10 @@ def scan_decision_search(cg, palette, special_cap, budget) -> SearchResult:
 
 def below(rng: random.Random, n: int) -> int:
     """Reference draw of a uniform integer in [0, n): take n's bit length of
-    random bits, and take them again while the value is n or more."""
+    random bits, and take them again while the value is n or more.  Raises
+    ``ValueError`` for n < 1, where no value could be accepted."""
+    if n < 1:
+        raise ValueError(f"cannot draw below {n}")
     while True:
         value = rng.getrandbits(n.bit_length())
         if value < n:

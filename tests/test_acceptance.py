@@ -118,7 +118,7 @@ def test_criterion_2_generator_properties():
                     if not graph.is_regular(k):
                         failures.append(f"{label}: not regular")
                     if graph.n_left != n or any(
-                        graph.is_left(u) == graph.is_left(v) for u, v in graph.edges()
+                        (u < graph.n_left) == (v < graph.n_left) for u, v in graph.edges()
                     ):
                         failures.append(f"{label}: bipartition broken")
                     pairs = {(u, v) if u < v else (v, u) for u, v in graph.edges()}

@@ -36,10 +36,14 @@ class TestParse:
         assert g.n_edges == 1
 
     def test_duplicate_edge_reports_line(self):
-        with pytest.raises(DimacsParseError) as exc:
-            parse_dimacs("p edge 2 2\ne 1 2\ne 2 1\n")
-        assert "duplicate" in str(exc.value)
-        assert exc.value.line_no == 3
+        for text, line_no in [
+            ("p edge 2 2\ne 1 2\ne 2 1\n", 3),
+            ("c bipartition 2 2\np edge 4 3\ne 1 3\ne 2 4\ne 3 1\n", 5),
+        ]:
+            with pytest.raises(DimacsParseError) as exc:
+                parse_dimacs(text)
+            assert "duplicate" in str(exc.value)
+            assert exc.value.line_no == line_no
 
     def test_malformed_line_reports_line(self):
         with pytest.raises(DimacsParseError) as exc:
@@ -65,8 +69,9 @@ class TestParse:
         assert exc.value.line_no == 2
 
     def test_endpoint_out_of_range(self):
-        with pytest.raises(DimacsParseError):
-            parse_dimacs("p edge 2 1\ne 1 5\n")
+        with pytest.raises(DimacsParseError, match="out of range") as exc:
+            parse_dimacs("p edge 2 2\ne 1 2\ne 1 5\n")
+        assert exc.value.line_no == 3
 
     def test_self_loop_rejected(self):
         with pytest.raises(DimacsParseError):
@@ -79,8 +84,9 @@ class TestParse:
 
     def test_bipartition_violating_edge(self):
         with pytest.raises(DimacsParseError) as exc:
-            parse_dimacs("c bipartition 2 2\np edge 4 1\ne 1 2\n")
+            parse_dimacs("c bipartition 2 2\np edge 4 2\ne 1 3\ne 1 2\n")
         assert "cross" in str(exc.value)
+        assert exc.value.line_no == 4
 
     def test_bipartition_count_mismatch(self):
         with pytest.raises(DimacsParseError):

@@ -148,6 +148,7 @@ class TestLowPairEquivalence:
         seen = []
 
         def checked(state, rng):
+            assert state.low_ys == set(state.y_low)
             reference = random.Random()
             reference.setstate(rng.getstate())
             expected = scan_distant_low_pair(state, reference)
@@ -298,6 +299,16 @@ class TestShuffled:
             assert len(taken) == t
             assert rng.getstate() == reference.getstate(), t
 
+    @pytest.mark.parametrize("draw", [_below, below], ids=["package", "reference"])
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_no_draw_below_one(self, draw, n):
+        # no value is below n < 1, so the rejection loop would never end
+        rng = random.Random(n)
+        state = rng.getstate()
+        with pytest.raises(ValueError, match=f"below {n}"):
+            draw(rng, n)
+        assert rng.getstate() == state
+
     def test_every_order_of_three_about_equally_often(self):
         counts = Counter(tuple(_shuffled(random.Random(seed), "abc")) for seed in range(6000))
         assert len(counts) == 6
@@ -325,6 +336,7 @@ class TestRaiseLow:
         state._raise_low(2, 6 + 4)
         assert state.x_low == [0, 1, 3, 4, 5]
         assert state.y_low == [6, 7, 8, 9, 11]
+        assert state.low_ys == {6, 7, 8, 9, 11}
 
     @pytest.mark.parametrize("pair", [(2, 6 + 4), (3, 6 + 4), (2, 6 + 5), (6, 6 + 4)])
     def test_vertex_that_is_not_low_is_loud(self, pair):
@@ -335,6 +347,7 @@ class TestRaiseLow:
         with pytest.raises(InternalInvariantError):
             state._raise_low(*pair)
         assert (state.x_low, state.y_low) == before
+        assert state.low_ys == set(before[1])
 
 
 class TestSwap:

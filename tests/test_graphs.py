@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +9,7 @@ from strongedge.graphs import MAX_VERTICES
 from strongedge import (
     INFINITE_GIRTH,
     BipartiteGraph,
+    ConstructionFailedError,
     DuplicateEdgeError,
     InvalidEdgeError,
     SimpleGraph,
@@ -39,15 +41,26 @@ def relabeled(graph: SimpleGraph, perm: list[int]) -> SimpleGraph:
     return out
 
 
-def disjoint_cycles(lengths) -> SimpleGraph:
-    """Vertex-disjoint cycles of the given lengths on consecutive ids."""
-    graph = SimpleGraph(sum(lengths))
+def disjoint_union(*graphs: SimpleGraph) -> SimpleGraph:
+    """The graphs side by side, each on the next block of vertex ids."""
+    union = SimpleGraph(sum(graph.n_vertices for graph in graphs))
     start = 0
-    for n in lengths:
-        for i in range(n):
-            graph.add_edge(start + i, start + (i + 1) % n)
-        start += n
-    return graph
+    for graph in graphs:
+        for u, v in graph.edges():
+            union.add_edge(start + u, start + v)
+        start += graph.n_vertices
+    return union
+
+
+def built_cubic(g: int) -> SimpleGraph:
+    """The first forced cubic build of girth target g on 15 g vertices a side
+    that completes; small enough for the brute-force oracle."""
+    for seed in range(50):
+        try:
+            return generate(3, g, 15 * g, seed, force=True)[0]
+        except ConstructionFailedError:
+            continue
+    raise AssertionError(f"no forced cubic build of girth {g} completed")
 
 
 def adjacent(cg, i, j):
@@ -64,6 +77,18 @@ def simple_graphs(draw, max_vertices=9, max_edges=16):
     g = SimpleGraph(n)
     for u, v in chosen:
         g.add_edge(u, v)
+    return g
+
+
+@st.composite
+def forests(draw, max_vertices=14):
+    """Each vertex after the first joins an earlier one, or starts a tree."""
+    n = draw(st.integers(1, max_vertices))
+    g = SimpleGraph(n)
+    for v in range(1, n):
+        parent = draw(st.integers(-1, v - 1))
+        if parent >= 0:
+            g.add_edge(parent, v)
     return g
 
 
@@ -124,18 +149,18 @@ class TestConstruction:
             g.add_edge(1, 1)
 
     def test_out_of_range_indices(self):
+        # the first endpoint out of range is named, whatever the other is
         g = BipartiteGraph(2, 2)
-        with pytest.raises(ValueError):
-            g.add_edge(4, 0)
-        with pytest.raises(ValueError):
-            g.add_edge(0, 4)
-        with pytest.raises(ValueError):
-            g.add_edge(-1, 2)
+        for pair, bad in [((4, 0), 4), ((0, 4), 4), ((-1, 2), -1), ((5, -1), 5)]:
+            with pytest.raises(ValueError, match=re.escape(f"vertex {bad} out of range [0, 4)")):
+                g.add_edge(*pair)
+        assert g.n_edges == 0
 
     @pytest.mark.parametrize("pair", [(0, 1), (2, 3), (3, 2), (1, 1)])
     def test_same_side_pair_rejected(self, pair):
         g = BipartiteGraph(2, 2)
-        with pytest.raises(ValueError, match="same side"):
+        message = f"^vertices {pair[0]} and {pair[1]} are on the same side$"
+        with pytest.raises(ValueError, match=message):
             g.add_edge(*pair)
         assert g.n_edges == 0
 
@@ -295,7 +320,7 @@ class TestGirth:
 
     @pytest.mark.parametrize("lengths", [(9, 7, 5), (12, 8, 4), (6, 3), (10, 10, 9)])
     def test_disjoint_cycles_shortest_on_highest_ids(self, lengths):
-        graph = disjoint_cycles(lengths)
+        graph = disjoint_union(*map(cycle_graph, lengths))
         assert girth(graph) == brute_girth(graph) == min(lengths)
 
     @pytest.mark.parametrize("a, b, path_len", [(5, 7, 6), (8, 3, 10), (4, 4, 1), (9, 6, 0)])
@@ -329,6 +354,19 @@ class TestGirth:
         broken = cycle_graph(6)
         broken.remove_edge(*broken.edges()[2])  # one removed edge leaves a path
         assert girth(broken) == INFINITE_GIRTH
+
+    @pytest.mark.parametrize("g", range(6, 11))
+    def test_built_cubic_graphs_with_and_without_an_odd_cycle(self, g):
+        # Alone, a built graph is bipartite and girth cuts each BFS off with
+        # slack 2; beside an odd cycle one shorter or one longer than its
+        # girth, before or after it in the id order, with slack 1.
+        graph = built_cubic(g)
+        measured = brute_girth(graph)
+        assert measured >= g and girth(graph) == measured
+        for length in (measured - 1, measured + 1):
+            odd = cycle_graph(length)
+            for union in (disjoint_union(graph, odd), disjoint_union(odd, graph)):
+                assert girth(union) == min(measured, length)
 
     def test_petersen_odd_girth(self):
         graph = petersen_graph()
@@ -407,8 +445,14 @@ class TestProperties:
     @settings(max_examples=60, deadline=None)
     def test_bipartite_girth_parity(self, g):
         value = girth(g)
+        assert value == brute_girth(g)
         if value != INFINITE_GIRTH:
             assert value % 2 == 0
+
+    @given(forests())
+    @settings(max_examples=60, deadline=None)
+    def test_forests_have_infinite_girth(self, g):
+        assert girth(g) == brute_girth(g) == INFINITE_GIRTH
 
     @given(simple_graphs())
     @settings(max_examples=60, deadline=None)

@@ -162,6 +162,14 @@ class TestCertify:
         with pytest.raises(VerificationError) as exc:
             certify_graph(path, 2)
         assert exc.value.check == "bipartite"
+        assert str(exc.value) == "bipartite: odd cycle through vertices 2 and 1"
+
+    def test_unbalanced_sides_fail_certification(self, tmp_path):
+        path = tmp_path / "p3.dimacs"
+        path.write_text("p edge 3 2\ne 1 2\ne 2 3\n")
+        with pytest.raises(VerificationError) as exc:
+            certify_graph(path, 2)
+        assert str(exc.value) == "balanced-sides: sides are (2, 1)"
 
     def test_plain_simple_graph_gets_bipartition_computed(self, tmp_path):
         # same cycle, no bipartition comment in the file
