@@ -32,7 +32,8 @@ def parse_dimacs(text: str) -> SimpleGraph | BipartiteGraph:
     bipartition: tuple[int, int] | None = None
     edge_lines: list[tuple[int, int, int]] = []  # (line_no, u, v), 1-based u, v
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    # only "\n" ends a line, as for a line-based reader; strip() drops a "\r"
+    for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -98,6 +99,7 @@ def parse_dimacs(text: str) -> SimpleGraph | BipartiteGraph:
             f"header declares {n_edges_declared} edges but file has {len(edge_lines)}"
         )
 
+    vertex = list(range(-1, n_vertices))  # 1-based id -> its one 0-based int
     if bipartition is not None:
         a, b = bipartition
         if a + b != n_vertices:
@@ -111,12 +113,12 @@ def parse_dimacs(text: str) -> SimpleGraph | BipartiteGraph:
                 raise DimacsParseError(
                     f"edge ({u}, {v}) does not cross the bipartition", line_no
                 )
-            _checked_add(bg, line_no, lo - 1, hi - 1)
+            _checked_add(bg, line_no, vertex[lo], vertex[hi])
         return bg
 
     g = SimpleGraph(n_vertices)
     for line_no, u, v in edge_lines:
-        _checked_add(g, line_no, u - 1, v - 1)
+        _checked_add(g, line_no, vertex[u], vertex[v])
     return g
 
 
@@ -140,7 +142,7 @@ def serialize_dimacs(g: SimpleGraph) -> str:
 
 
 def load_dimacs(path: str | Path) -> SimpleGraph | BipartiteGraph:
-    return parse_dimacs(Path(path).read_text())
+    return parse_dimacs(Path(path).read_bytes().decode())
 
 
 def save_dimacs(path: str | Path, g: SimpleGraph) -> str:

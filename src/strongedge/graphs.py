@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .errors import DuplicateEdgeError, InvalidEdgeError
@@ -42,7 +43,8 @@ class SimpleGraph:
             # digits than int-to-str converts
             raise ValueError(f"vertex count exceeds the cap of {MAX_VERTICES}")
         self.n_vertices = n_vertices
-        # (low, high) -> the pair as inserted, in insertion order
+        # (low, high) -> the pair as inserted, in insertion order; a pair
+        # inserted low first is its own key, so it costs one tuple, not two
         self._edges: dict[tuple[int, int], tuple[int, int]] = {}
         # vertex -> neighbors, in the insertion order of the joining edges
         self._adj: list[list[int]] = [[] for _ in range(n_vertices)]
@@ -64,7 +66,7 @@ class SimpleGraph:
         key = (u, v) if u < v else (v, u)
         if key in self._edges:
             raise DuplicateEdgeError(f"edge ({u}, {v}) already present")
-        self._edges[key] = (u, v)
+        self._edges[key] = key if u < v else (u, v)
         self._adj[u].append(v)
         self._adj[v].append(u)
 
@@ -314,11 +316,13 @@ def conflict_graph(g: SimpleGraph) -> ConflictGraph:
         incident[v].append(i)
     # reach[x]: the edges with an endpoint adjacent to x, which include those
     # at x.  Edge i = (u, v) conflicts with exactly the other edges in
-    # reach[u] | reach[v].
-    reach = [{i for w in g._adj[x] for i in incident[w]} for x in range(g.n_vertices)]
+    # reach[u] | reach[v].  Tuples, not sets, keep the peak near the rows'
+    # size; an edge a triangle lists twice is merged by the row's set.
+    reach = [tuple(chain.from_iterable(map(incident.__getitem__, a))) for a in g._adj]
+    del incident
     adj = []
     for i, (u, v) in enumerate(endpoints):
-        row = reach[u] | reach[v]
+        row = {*reach[u], *reach[v]}
         row.discard(i)
         adj.append(tuple(sorted(row)))
     return ConflictGraph(endpoints, tuple(adj), tuple(map(len, adj)))

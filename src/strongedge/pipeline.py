@@ -194,7 +194,7 @@ def build_counterexample(
     """
     check_floor_fits(k, g)
     n = choose_n(k, g)
-    graph, _trace = generate(k, g, n, seed)
+    graph = generate(k, g, n, seed)[0]
     _check(
         "vertex-count",
         graph.n_vertices == 2 * n,
@@ -205,6 +205,7 @@ def build_counterexample(
     record = _certify(graph, k, g, text.encode(), seed=seed, graph_path=graph_path)
     if graph_out is not None:
         Path(graph_out).write_text(text)
+    del text  # not held through the conflict graph and the greedy
     if with_upper_bound:
         phi = greedy_color(conflict_graph(graph))
         report = check_class_sizes(graph, k, phi)

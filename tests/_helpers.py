@@ -14,10 +14,12 @@ the earlier ones that older golden digests pin.
 
 from __future__ import annotations
 
+import gc
 import math
 import os
 import random
 import time
+import tracemalloc
 from collections import deque
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple
@@ -128,6 +130,23 @@ def cli_env() -> dict[str, str]:
     from, so the child runs the package under test whether or not it is
     installed."""
     return {**os.environ, "PYTHONPATH": str(Path(strongedge.__file__).parents[1])}
+
+
+def traced(fn: Callable, *args):
+    """``fn(*args)``, the bytes it held once it returned and the most it held
+    at once, by tracemalloc.  ``gc.collect()`` on either side also empties
+    the interpreter's free lists, so every object the call makes counts
+    toward the peak and none that died counts as held."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return result, held, peak
 
 
 def brute_girth(g: SimpleGraph) -> int | float:

@@ -67,6 +67,14 @@ class TestSolveCommand:
         assert "greedy" in capsys.readouterr().out
         assert run("verify", path, coloring) == 0
 
+    def test_coloring_file_keeps_high_first_edges(self, tmp_path):
+        path = tmp_path / "p3.dimacs"
+        coloring = tmp_path / "p3.json"
+        path.write_text("p edge 3 2\ne 3 1\ne 1 2\n")
+        assert run("solve", path, "-o", coloring) == 0
+        assert json.loads(coloring.read_text())["edges"] == [[3, 1], [1, 2]]
+        assert run("verify", path, coloring) == 0
+
     def test_budget_exhaustion_exits_4(self, tmp_path, capsys):
         path = tmp_path / "hw.dimacs"
         save_dimacs(path, heawood_graph())

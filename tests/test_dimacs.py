@@ -4,12 +4,18 @@ from strongedge import (
     BipartiteGraph,
     DimacsParseError,
     SimpleGraph,
+    choose_n,
+    conflict_graph,
     generate,
+    load_dimacs,
     parse_dimacs,
     serialize_dimacs,
 )
 from strongedge.graphs import MAX_VERTICES
-from _helpers import bipartite_cycle, heawood_graph
+from _helpers import bipartite_cycle, heawood_graph, traced
+
+# where str.splitlines() breaks a line and "\n"-based readers do not
+OTHER_LINE_BREAKS = ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 
 
 def normalized_edges(g):
@@ -34,6 +40,48 @@ class TestParse:
     def test_comments_and_blank_lines_ignored(self):
         g = parse_dimacs("c a comment\n\np edge 3 1\nc another\ne 1 3\n")
         assert g.n_edges == 1
+
+    @pytest.mark.parametrize("sep", OTHER_LINE_BREAKS, ids=ascii)
+    def test_only_newline_ends_a_line(self, sep):
+        # the text after sep stays in the comment, as a line-based reader has it
+        g = parse_dimacs(f"p edge 3 1\ne 1 2\nc note{sep}e 2 3\n")
+        assert g.edges() == [(0, 1)]
+        with pytest.raises(DimacsParseError, match="declares 2 edges but file has 1"):
+            parse_dimacs(f"p edge 3 2\ne 1 2\nc note{sep}e 2 3\n")
+        with pytest.raises(DimacsParseError, match="self-loop") as exc:
+            parse_dimacs(f"c one{sep}two\np edge 2 1\ne 1 1\n")
+        assert exc.value.line_no == 3
+
+    def test_load_reads_the_bytes_certify_hashes(self, tmp_path):
+        # no newline translation on read: a bare "\r" stays inside its line
+        path = tmp_path / "cr.dimacs"
+        path.write_bytes(b"p edge 3 1\ne 1 2\nc note\re 2 3\n")
+        assert load_dimacs(path).edges() == [(0, 1)]
+
+    def test_crlf_line_ends(self):
+        g = parse_dimacs("c bipartition 1 2\r\np edge 3 2\r\ne 1 2\r\ne 3 1\r\n")
+        assert isinstance(g, BipartiteGraph)
+        assert g.edges() == [(0, 1), (0, 2)]
+
+    def test_high_first_line_keeps_its_orientation(self):
+        g = parse_dimacs("p edge 3 2\ne 3 1\ne 2 3\n")
+        assert g.edges() == [(2, 0), (1, 2)]
+        assert conflict_graph(g).endpoints == ((2, 0), (1, 2))
+
+    def test_edges_share_one_int_per_vertex(self):
+        # ids above 257 name ints that CPython does not cache
+        g = parse_dimacs("p edge 1000 3\ne 1000 999\ne 999 998\ne 1000 998\n")
+        (a, b), (c, d), (e, f) = g.edges()
+        assert (a, b, d) == (999, 998, 997)
+        assert c is b and e is a and f is d
+
+    def test_parsed_graph_holds_under_210_bytes_an_edge(self):
+        text = serialize_dimacs(generate(3, 8, choose_n(3, 8), 1)[0])
+        graph, held, _peak = traced(parse_dimacs, text)
+        assert graph.n_edges == 1152
+        # 252 B with a second tuple per edge and a fresh int per endpoint;
+        # 167 B with one tuple per edge and one int per vertex
+        assert held / graph.n_edges < 210
 
     def test_duplicate_edge_reports_line(self):
         for text, line_no in [
@@ -83,10 +131,13 @@ class TestParse:
         assert g.n_left == 2
 
     def test_bipartition_violating_edge(self):
-        with pytest.raises(DimacsParseError) as exc:
-            parse_dimacs("c bipartition 2 2\np edge 4 2\ne 1 3\ne 1 2\n")
-        assert "cross" in str(exc.value)
-        assert exc.value.line_no == 4
+        # the 1-based endpoints as the line names them, in its order
+        for line in ["e 1 2", "e 4 3"]:
+            with pytest.raises(DimacsParseError) as exc:
+                parse_dimacs(f"c bipartition 2 2\np edge 4 2\ne 1 3\n{line}\n")
+            u, v = line.split()[1:]
+            assert str(exc.value) == f"line 4: edge ({u}, {v}) does not cross the bipartition"
+            assert exc.value.line_no == 4
 
     def test_bipartition_count_mismatch(self):
         with pytest.raises(DimacsParseError):
