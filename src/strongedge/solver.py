@@ -157,11 +157,14 @@ def _decision_search(
     date as colors are set and undone.  A bucket holds each node as the
     entry (highest conflict degree - its conflict degree) * m + index, so
     ``min`` of the highest non-empty bucket is the node with the fewest
-    colors left, then the most conflicts, then the lowest index.  A step costs time in
-    proportion to the neighbors it touches and to the size of that bucket,
-    not to m.  Only the special color running out or coming back on undo
-    re-keys in one pass over the nodes.  Nodes are counted in a local and
-    written back to ``budget.nodes`` when the search stops.
+    colors left, then the most conflicts, then the lowest index.  A node on
+    the stack carries the forbid mask -1, so a single bit test passes over
+    it; its frame keeps the real mask until it is popped.  A step costs
+    time in proportion to the neighbors it touches and to the size of that
+    bucket, not to m or the palette.  Only the special color running out or
+    coming back on undo re-keys in one pass over the nodes.  Nodes are
+    counted in a local and written back to ``budget.nodes`` when the search
+    stops.
     """
     m = cg.n_nodes
     start_nodes = nodes = budget.nodes
@@ -170,9 +173,10 @@ def _decision_search(
     if palette <= 0:
         return SearchResult(EXHAUSTED, None, 0)
 
-    node_limit = budget.node_limit
+    node_limit = float("inf") if budget.node_limit is None else budget.node_limit
     deadline = budget.deadline
     regular = palette if special_cap is None else palette - 1
+    full = (1 << regular) - 1
     special_bit = 0 if special_cap is None else 1 << (palette - 1)
     adj = cg.adj
     degrees = cg.degrees
@@ -185,13 +189,16 @@ def _decision_search(
     # fewest available colors is the highest key.  forbid[v] holds only
     # colors in use, and legal grows only by the next fresh color, which no
     # node forbids, so keys move only when a forbid bit is set or cleared,
-    # or when the special color leaves or rejoins legal.  `top` is at least
-    # the highest non-empty key.  When all conflict degrees are equal,
-    # entry[v] == v.
+    # or when the special color leaves or rejoins legal.  A node on the
+    # stack keeps the key it had when picked, valid again once it is popped.
+    # `top` is an upper bound on the highest non-empty key: a touch raises
+    # keys by one, so `top` rises by one after a touch that moved a node,
+    # into the spare empty level on top, and the pick's walk-down lowers
+    # it.  When all conflict degrees are equal, entry[v] == v.
     max_degree = max(degrees)
     entry = [(max_degree - d) * m + v for v, d in enumerate(degrees)]
     key = [0] * m
-    buckets: list[set[int]] = [set() for _ in range(min(palette, max_degree) + 1)]
+    buckets: list[set[int]] = [set() for _ in range(min(palette, max_degree) + 2)]
     buckets[0].update(entry)
     top = 0
 
@@ -200,30 +207,32 @@ def _decision_search(
         nonlocal top
         mask = ~special_bit if special_left == 0 else -1
         for w in range(m):
-            if not colors[w] and forbid[w] & special_bit:
-                k = (forbid[w] & mask).bit_count()
+            f = forbid[w]
+            if f & special_bit and f != -1:
+                k = (f & mask).bit_count()
                 buckets[key[w]].remove(entry[w])
                 buckets[k].add(entry[w])
                 key[w] = k
                 if k > top:
                     top = k
 
-    # One frame per colored node: [node, untried colors, neighbors whose
-    # forbid bit it newly set, used and special_left before its color].
+    # One frame per node on the stack, colored at the top of the loop:
+    # [node, untried colors, neighbors whose forbid bit its color newly
+    # set, used and special_left before its color, its forbid mask].
     stack: list[list] = []
     status = FOUND
 
     while len(stack) < m:
-        # One node per descent; the clock is read every 256 nodes.
+        # One node per loop; the clock is read every 256 nodes.
         nodes += 1
-        if (node_limit is not None and nodes > node_limit) or (
+        if nodes > node_limit or (
             deadline is not None
             and nodes % _CLOCK_CHECK_INTERVAL == 0
             and time.monotonic() > deadline
         ):
             status = TIMEOUT
             break
-        legal = (1 << min(used + 1, regular)) - 1
+        legal = (2 << used) - 1 if used < regular else full
         if special_left > 0:
             legal |= special_bit
         # A node with no color left is a sound dead end: the next fresh
@@ -236,21 +245,23 @@ def _decision_search(
             e = min(bucket)
             bucket.remove(e)
             v = e % m
-            stack.append([v, legal & ~forbid[v], [], used, special_left])
-
-        # Back up to the deepest frame with an untried color, uncoloring the
-        # frames above it; a frame just pushed stops this at once.
-        while stack:
-            v, untried, touched, used, left_before = frame = stack[-1]
-            if colors[v]:
+            untried = legal & ~forbid[v]
+            stack.append(frame := [v, untried, None, used, special_left, forbid[v]])
+            forbid[v] = -1
+        else:
+            # Back up to the deepest frame with an untried color, popping
+            # the frames above it; a popped node's stale color is unread.
+            while stack:
+                v, untried, touched, used, left_before, saved = frame = stack[-1]
                 bit = 1 << (colors[v] - 1)
                 if bit != special_bit or special_left > 0:
                     for w in touched:
                         forbid[w] ^= bit
+                        e = entry[w]
                         k = key[w]
-                        buckets[k].remove(entry[w])
+                        buckets[k].remove(e)
                         k -= 1
-                        buckets[k].add(entry[w])
+                        buckets[k].add(e)
                         key[w] = k
                     special_left = left_before
                 else:
@@ -258,19 +269,17 @@ def _decision_search(
                         forbid[w] ^= bit
                     special_left = left_before
                     rekey_special_neighbors()
-                colors[v] = 0
-            if untried:
+                if untried:
+                    break
+                stack.pop()
+                forbid[v] = saved
+                k = key[v]
+                buckets[k].add(entry[v])
+                if k > top:
+                    top = k
+            else:
+                status = EXHAUSTED
                 break
-            stack.pop()
-            mask = ~special_bit if special_left == 0 else -1
-            k = (forbid[v] & mask).bit_count()
-            buckets[k].add(entry[v])
-            key[v] = k
-            if k > top:
-                top = k
-        else:
-            status = EXHAUSTED
-            break
 
         bit = untried & -untried
         c = bit.bit_length()
@@ -282,19 +291,20 @@ def _decision_search(
         touched = []
         if bit != special_bit or special_left > 0:
             for w in adj[v]:
-                if not colors[w] and not forbid[w] & bit:
+                if not forbid[w] & bit:
                     forbid[w] |= bit
                     touched.append(w)
+                    e = entry[w]
                     k = key[w]
-                    buckets[k].remove(entry[w])
+                    buckets[k].remove(e)
                     k += 1
-                    buckets[k].add(entry[w])
+                    buckets[k].add(e)
                     key[w] = k
-                    if k > top:
-                        top = k
+            if touched:
+                top += 1
         else:
             for w in adj[v]:
-                if not colors[w] and not forbid[w] & bit:
+                if not forbid[w] & bit:
                     forbid[w] |= bit
                     touched.append(w)
             rekey_special_neighbors()

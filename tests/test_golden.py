@@ -338,6 +338,26 @@ USAGE = {
     18: ("exact", 0, 18), 19: ("exact", 1, 38), 20: ("exact", 2, 268),
 }
 
+# (n, seed) -> (status, usage, nodes) of min_last_color_usage(cg, 3) with a
+# 5000-node budget on the forced k=3, g=4 builds, and the digest of its
+# coloring (None without one); the search workload's first sweep instance.
+# Two of them settle well inside the budget.
+USAGE_FORCED = {
+    (10, 16): (("best-found", 4, 5001),
+               "c59aee3f073524763868871f2b920272c940d6f43f593d2a11974eace66fb94f"),
+    (11, 17): (("infeasible", None, 965), None),
+    (12, 18): (("infeasible", None, 2985), None),
+    (13, 19): (("best-found", None, 5001), None),
+}
+
+# girth target -> (status, nodes) of find_coloring(cg, 7) with a 2000-node
+# budget on the k=3, seed=1 graph, and the digest of its coloring; both
+# searches find one before the budget runs out
+FIND_SEVEN = {
+    5: (("found", 182), "ddcddc143d76b1b826bbcbb7ff37dddb0173959385597bd5c772de87f99fe487"),
+    6: (("found", 305), "d798c7f78695f455c9e57fd59035dacc1e28eae9e20bcb63d11c55aa62a81104"),
+}
+
 
 
 def colors_digest(colors: list[int]) -> str:
@@ -507,6 +527,20 @@ def test_find_coloring_runs_to_its_budget():
 def test_legacy_find_coloring_runs_to_its_budget():
     res = find_coloring(k3_conflict_graph(8, 8, legacy_generate), 7, node_budget=2000)
     assert (res.status, res.nodes) == ("timeout", 2001)
+
+
+@pytest.mark.parametrize("g", sorted(FIND_SEVEN))
+def test_find_coloring_settles_below_its_budget(g):
+    res = find_coloring(k3_conflict_graph(g, 1), 7, node_budget=2000)
+    assert ((res.status, res.nodes), colors_digest(res.coloring.colors)) == FIND_SEVEN[g]
+
+
+@pytest.mark.parametrize("n, seed", sorted(USAGE_FORCED))
+def test_last_color_usage_on_forced_builds(n, seed):
+    cg = conflict_graph(generate(3, 4, n, seed, force=True)[0])
+    res = min_last_color_usage(cg, 3, node_budget=5000)
+    digest = res.coloring and colors_digest(res.coloring.colors)
+    assert ((res.status, res.usage, res.nodes), digest) == USAGE_FORCED[n, seed]
 
 
 @pytest.mark.parametrize("n", sorted(USAGE))

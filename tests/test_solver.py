@@ -300,6 +300,15 @@ class TestScanEquivalence:
     """The bucketed pick explores the same tree as a full rescan of the
     uncolored nodes: same status, coloring and node count."""
 
+    @staticmethod
+    def assert_same_as_scan(cg, palette, special_cap, node_budget):
+        ref = scan_decision_search(cg, palette, special_cap, _Budget(node_budget=node_budget))
+        res = _decision_search(cg, palette, special_cap, _Budget(node_budget=node_budget))
+        case = (palette, special_cap, node_budget)
+        assert res.status == ref.status, case
+        assert res.nodes == ref.nodes, case
+        assert (res.coloring and res.coloring.colors) == (ref.coloring and ref.coloring.colors), case
+
     @pytest.mark.parametrize("name", sorted(EQUIVALENCE_FAMILY))
     def test_same_outcome_as_scan(self, name):
         cg = conflict_graph(EQUIVALENCE_FAMILY[name])
@@ -308,12 +317,18 @@ class TestScanEquivalence:
         for palette in (chi - 1, chi, chi + 1):
             for special_cap in (None, 0, 1, 3):
                 for node_budget in (1, 7, 60, 2000, None if cg.n_nodes <= 15 else 5000):
-                    ref = scan_decision_search(cg, palette, special_cap, _Budget(node_budget=node_budget))
-                    res = _decision_search(cg, palette, special_cap, _Budget(node_budget=node_budget))
-                    case = (palette, special_cap, node_budget)
-                    assert res.status == ref.status, case
-                    assert res.nodes == ref.nodes, case
-                    assert (res.coloring and res.coloring.colors) == (ref.coloring and ref.coloring.colors), case
+                    self.assert_same_as_scan(cg, palette, special_cap, node_budget)
+
+    @pytest.mark.parametrize("g", [5, 6, 7])
+    def test_same_outcome_as_scan_on_counterexamples(self, g):
+        # The k = 3, seed-1 counterexamples (m = 144 / 288 / 576): deep
+        # trees on regular graphs, where every conflict degree ties and the
+        # index alone breaks ties among equally saturated nodes.  Palette 7
+        # finds a coloring at g = 5 and 6 well inside the budget.
+        cg = conflict_graph(generate(3, g, choose_n(3, g), 1)[0])
+        for palette in (6, 7):
+            for special_cap in (None, 1, 3):
+                self.assert_same_as_scan(cg, palette, special_cap, 2000)
 
     def test_family_reaches_every_outcome(self):
         # The family must make the search find, refute and run out of
