@@ -5,15 +5,21 @@ graphs are in scope, not only bipartite ones.  The decision engine is a
 backtracking search that always branches on the uncolored node with the
 fewest available colors (ties broken by most conflicts, then lowest index)
 and breaks color symmetry canonically: a fresh color may only be introduced
-as the next unused id.  It keeps the uncolored nodes in saturation buckets
-(DSATUR, Brélaz 1979), each node stored as a number that sorts it by most
-conflicts and then by lowest index, so the pick is ``min`` of the highest
-non-empty bucket.  A step costs time in proportion to the neighbors it
-touches, not to the edge count.  It runs on an explicit stack, so its
-depth is bounded by memory, not by the interpreter's recursion limit.  The
-saturation greedy is its first descent with a palette of one color per
-edge.  All searches are deterministic; budgets are wall-clock with a
-node-count alternative for reproducible CI.
+as the next unused id (DSATUR, Brélaz 1979).  Two kernels walk that same
+tree.  The bucket kernel keeps the uncolored nodes in saturation buckets,
+each node stored as a number that sorts it by most conflicts and then by
+lowest index, so the pick is ``min`` of the highest non-empty bucket; a
+step costs time in proportion to the neighbors it touches, not to the edge
+count.  The mask kernel keeps each saturation level as an m-bit mask over
+the nodes in pick order (bit-set DSATUR, as in San Segundo's PASS, 2012),
+so the pick is the lowest bit of the highest non-empty level and a step
+costs a few mask operations per level.  The search runs on masks when an
+m-bit mask spans no more 64-bit words than the largest conflict degree, and
+on buckets otherwise.  Both run on an explicit stack, so the depth is
+bounded by memory, not by the interpreter's recursion limit.  The
+saturation greedy is the bucket kernel's first descent with a palette of
+one color per edge.  All searches are deterministic; budgets are
+wall-clock with a node-count alternative for reproducible CI.
 """
 
 from __future__ import annotations
@@ -132,11 +138,13 @@ def greedy_color(cg: ConflictGraph) -> StrongColoring:
 
     Colors next the node with the most distinct neighbor colors, ties by
     conflict degree then lowest index, giving it the lowest free color.
-    This is the decision search's first descent with one color per edge
+    This is the bucket kernel's first descent with one color per edge
     available: a fresh color is always free, so it never backtracks, and
-    fewest available colors means most distinct neighbor colors.
+    fewest available colors means most distinct neighbor colors.  It runs
+    on buckets at every m: on masks each of its m steps would copy m-bit
+    integers.
     """
-    return _decision_search(cg, cg.n_nodes, None, _Budget()).coloring
+    return _search_with(_bucket_kernel, cg, cg.n_nodes, None, _Budget()).coloring
 
 
 def _decision_search(
@@ -153,6 +161,42 @@ def _decision_search(
     introduced in first-use order.  The special color occupies the highest
     bit, so ascending-bit enumeration tries it last.
 
+    Two kernels walk the same tree, with the same picks, dead ends, node
+    count and clock reads, so the outcome does not depend on which runs.
+    The mask kernel runs when an m-bit mask spans no more 64-bit words than
+    the largest conflict degree, so that an operation on a mask handles no
+    more words than a bucket step has neighbors to touch; otherwise the
+    bucket kernel runs.
+    """
+    narrow = -(-cg.n_nodes // 64) <= max(cg.degrees, default=0)
+    kernel = _mask_kernel if narrow else _bucket_kernel
+    return _search_with(kernel, cg, palette, special_cap, budget)
+
+
+def _search_with(kernel, cg: ConflictGraph, palette: int, special_cap: int | None,
+                 budget: _Budget) -> SearchResult:
+    """Run ``kernel`` unless the graph or the palette is empty, and verify
+    any coloring it finds."""
+    start_nodes = budget.nodes
+    if cg.n_nodes == 0:
+        return SearchResult(FOUND, StrongColoring([], verified=True), 0)
+    if palette <= 0:
+        return SearchResult(EXHAUSTED, None, 0)
+    status, colors = kernel(cg, palette, special_cap, budget)
+    spent = budget.nodes - start_nodes
+    if status == FOUND:
+        phi = StrongColoring(colors)
+        if not verify(cg, phi):
+            raise InternalInvariantError("search produced an invalid coloring")
+        return SearchResult(FOUND, phi, spent)
+    return SearchResult(status, None, spent)
+
+
+def _bucket_kernel(cg: ConflictGraph, palette: int, special_cap: int | None,
+                   budget: _Budget) -> tuple[str, list[int]]:
+    """The decision search on saturation buckets; returns the status and
+    the colors, read only when the status is ``found``.
+
     Each step picks the node to color from saturation buckets kept up to
     date as colors are set and undone.  A bucket holds each node as the
     entry (highest conflict degree - its conflict degree) * m + index, so
@@ -167,12 +211,7 @@ def _decision_search(
     stops.
     """
     m = cg.n_nodes
-    start_nodes = nodes = budget.nodes
-    if m == 0:
-        return SearchResult(FOUND, StrongColoring([], verified=True), 0)
-    if palette <= 0:
-        return SearchResult(EXHAUSTED, None, 0)
-
+    nodes = budget.nodes
     node_limit = float("inf") if budget.node_limit is None else budget.node_limit
     deadline = budget.deadline
     regular = palette if special_cap is None else palette - 1
@@ -312,13 +351,127 @@ def _decision_search(
         frame[2] = touched
 
     budget.nodes = nodes
-    spent = nodes - start_nodes
+    return status, colors
+
+
+def _mask_kernel(cg: ConflictGraph, palette: int, special_cap: int | None,
+                 budget: _Budget) -> tuple[str, list[int]]:
+    """The decision search on m-bit masks (bit-set DSATUR); the same tree
+    and return value as :func:`_bucket_kernel`.
+
+    Nodes are renumbered in pick order (most conflicts, then lowest index),
+    so bit p stands for the p-th node of that order.  F[i] holds the nodes
+    next to a node of color i + 1.  R[0] holds the uncolored nodes, and
+    R[j] the nodes with at least j regular colors forbidden; a node keeps
+    the levels it had when it was picked, and every read masks it out with
+    R[0].  Coloring a node with a regular color costs one mask operation
+    per level its new constraints nv reach, R[j] |= R[j-1] & nv, whatever
+    its degree.  The special color is counted at pick time: with
+    it legal, R[j] | (R[j-1] & F[special]) holds the nodes with at least j
+    colors forbidden, so nothing re-keys when it runs out or comes back.
+    The pick is the lowest set bit of the highest non-empty level.  A frame
+    keeps the list R as it was before its node's color, the mask that
+    color's F held, and the counters, so undo restores them without
+    touching a node.
+    """
+    m = cg.n_nodes
+    nodes = budget.nodes
+    node_limit = float("inf") if budget.node_limit is None else budget.node_limit
+    deadline = budget.deadline
+    regular = palette if special_cap is None else palette - 1
+    full = (1 << regular) - 1
+    special_bit = 0 if special_cap is None else 1 << (palette - 1)
+    special = palette - 1
+    degrees = cg.degrees
+    order = sorted(range(m), key=lambda v: (-degrees[v], v))
+    position = [0] * m
+    for p, v in enumerate(order):
+        position[v] = p
+    nbr = [sum([1 << position[w] for w in cg.adj[v]]) for v in order]
+    F = [0] * palette
+    # A key is at most min(palette, max degree) = L and `top` at most L + 1
+    # after a touch, so R[L + 1] is always empty: it is what R[top - 1]
+    # reads at top = 0.
+    R = [(1 << m) - 1] + [0] * (min(palette, max(degrees)) + 1)
+    used = 0
+    special_left = special_cap or 0
+    top = 0  # an upper bound on the highest non-empty level
+    # One frame per colored node: (its bit, untried colors, R before its
+    # color, used, special_left and top before it, its color index, the
+    # mask F held for that color before it).
+    stack: list[tuple] = []
+    status = FOUND
+
+    while len(stack) < m:
+        # One node per loop; the clock is read every 256 nodes.
+        nodes += 1
+        if nodes > node_limit or (
+            deadline is not None
+            and nodes % _CLOCK_CHECK_INTERVAL == 0
+            and time.monotonic() > deadline
+        ):
+            status = TIMEOUT
+            break
+        legal = (2 << used) - 1 if used < regular else full
+        if special_left > 0:
+            legal |= special_bit
+            f = F[special]
+            while not (level := (R[top] | R[top - 1] & f) & R[0]):
+                top -= 1
+        else:
+            while not (level := R[top] & R[0]):
+                top -= 1
+        if top < legal.bit_count():
+            b = level & -level
+            untried = legal
+            for i in range(used):
+                if F[i] & b:
+                    untried ^= 1 << i
+            if special_left > 0 and f & b:
+                untried ^= special_bit
+            R[0] ^= b
+        else:
+            # Back up to the deepest frame with an untried color; each pop
+            # puts back the state from before that frame's color.
+            while stack:
+                b, untried, R, used, special_left, top, i, old = stack.pop()
+                F[i] = old
+                if untried:
+                    break
+            else:
+                status = EXHAUSTED
+                break
+
+        bit = untried & -untried
+        i = bit.bit_length() - 1
+        old = F[i]
+        stack.append((b, untried ^ bit, R, used, special_left, top, i, old))
+        R = R[:]
+        F[i] = new = old | nbr[b.bit_length() - 1]
+        nv = (new ^ old) & R[0]
+        if bit == special_bit:
+            special_left -= 1
+            if nv and special_left > 0:
+                top += 1
+        else:
+            if i == used:
+                used += 1
+            if nv:
+                j = 1
+                lift = nv
+                while lift:  # the nodes of nv at level j - 1 or above
+                    above = R[j]
+                    R[j] = above | lift
+                    lift = above & nv
+                    j += 1
+                top += 1
+
+    budget.nodes = nodes
+    colors = [0] * m
     if status == FOUND:
-        phi = StrongColoring(colors)
-        if not verify(cg, phi):
-            raise InternalInvariantError("search produced an invalid coloring")
-        return SearchResult(FOUND, phi, spent)
-    return SearchResult(status, None, spent)
+        for frame in stack:
+            colors[order[frame[0].bit_length() - 1]] = frame[6] + 1
+    return status, colors
 
 
 def find_coloring(

@@ -14,7 +14,15 @@ from strongedge import (
     min_last_color_usage,
     verify,
 )
-from strongedge.solver import _Budget, _clique_lower_bound, _decision_search
+from strongedge import solver
+from strongedge.solver import (
+    _Budget,
+    _bucket_kernel,
+    _clique_lower_bound,
+    _decision_search,
+    _mask_kernel,
+    _search_with,
+)
 from _helpers import (
     brute_force_chi_s,
     complete_bipartite,
@@ -26,6 +34,7 @@ from _helpers import (
     random_simple_graph,
     scan_decision_search,
     star_graph,
+    traced,
 )
 
 
@@ -294,20 +303,26 @@ def equivalence_family():
 
 
 EQUIVALENCE_FAMILY = equivalence_family()
+KERNELS = {"buckets": _bucket_kernel, "masks": _mask_kernel}
 
 
 class TestScanEquivalence:
-    """The bucketed pick explores the same tree as a full rescan of the
-    uncolored nodes: same status, coloring and node count."""
+    """Each kernel, run directly rather than by the width rule, explores
+    the same tree as a full rescan of the uncolored nodes: same status,
+    coloring and node count.  So buckets keep their coverage on narrow
+    graphs, and masks are held to irregular and wide ones."""
 
     @staticmethod
     def assert_same_as_scan(cg, palette, special_cap, node_budget):
         ref = scan_decision_search(cg, palette, special_cap, _Budget(node_budget=node_budget))
-        res = _decision_search(cg, palette, special_cap, _Budget(node_budget=node_budget))
-        case = (palette, special_cap, node_budget)
-        assert res.status == ref.status, case
-        assert res.nodes == ref.nodes, case
-        assert (res.coloring and res.coloring.colors) == (ref.coloring and ref.coloring.colors), case
+        for name, kernel in KERNELS.items():
+            res = _search_with(kernel, cg, palette, special_cap, _Budget(node_budget=node_budget))
+            case = (name, palette, special_cap, node_budget)
+            assert res.status == ref.status, case
+            assert res.nodes == ref.nodes, case
+            assert (res.coloring and res.coloring.colors) == (
+                ref.coloring and ref.coloring.colors
+            ), case
 
     @pytest.mark.parametrize("name", sorted(EQUIVALENCE_FAMILY))
     def test_same_outcome_as_scan(self, name):
@@ -330,24 +345,42 @@ class TestScanEquivalence:
             for special_cap in (None, 1, 3):
                 self.assert_same_as_scan(cg, palette, special_cap, 2000)
 
+    def test_same_outcome_as_scan_on_quartic_build(self):
+        # The k = 4, seed-1 counterexample at girth 5 (m = 488): conflict
+        # degree 24, so a mask of 8 words is narrow for it.
+        cg = conflict_graph(generate(4, 5, choose_n(4, 5), 1)[0])
+        for palette in (8, 9):
+            for special_cap in (None, 1):
+                self.assert_same_as_scan(cg, palette, special_cap, 1000)
+
     def test_family_reaches_every_outcome(self):
-        # The family must make the search find, refute and run out of
-        # budget, and must spend a capped special color, also on a graph
-        # with at least 3 distinct conflict degrees, where re-keying after
-        # the special color runs out must keep each node's degree rank; or
-        # the comparison above could pass on paths the rewrite never takes.
+        # For each kernel the family must make the search find, refute and
+        # run out of budget, and must use up a capped special color and get
+        # it back on undo, also on a graph with at least 3 distinct conflict
+        # degrees, where the picks after either must keep each node's degree
+        # rank; or the comparison above could pass on paths a kernel never
+        # takes.  A refutation under cap 1 tries the special color wherever
+        # it is legal, so it uses it up and regains it on the way back.
         seen = set()
-        for graph in EQUIVALENCE_FAMILY.values():
-            cg = conflict_graph(graph)
-            for palette in range(1, 8):
-                res = _decision_search(cg, palette, 1, _Budget(node_budget=60))
-                seen.add(res.status)
-                if res.status == "found" and res.coloring.usage(palette) == 1:
-                    seen.add("special used up")
-                    if len(set(cg.degrees)) >= 3:
-                        seen.add("special used up, 3+ degrees")
+        for name, kernel in KERNELS.items():
+            for graph in EQUIVALENCE_FAMILY.values():
+                cg = conflict_graph(graph)
+                degrees = "3+ degrees" if len(set(cg.degrees)) >= 3 else "fewer degrees"
+                for palette in range(2, 8):
+                    res = _search_with(kernel, cg, palette, 1, _Budget(node_budget=60))
+                    seen.add((name, res.status))
+                    if res.status == "found" and res.coloring.usage(palette) == 1:
+                        seen.add((name, "special used up", degrees))
+                    if res.status == "none":
+                        seen.add((name, "special used up and regained", degrees))
         assert seen == {
-            "found", "none", "timeout", "special used up", "special used up, 3+ degrees"
+            (name, *outcome)
+            for name in KERNELS
+            for outcome in [("found",), ("none",), ("timeout",)] + [
+                (spent, degrees)
+                for spent in ("special used up", "special used up and regained")
+                for degrees in ("3+ degrees", "fewer degrees")
+            ]
         }
 
     def test_greedy_on_large_irregular_graph(self):
@@ -357,6 +390,48 @@ class TestScanEquivalence:
         assert cg.n_nodes >= 200
         assert len(set(cg.degrees)) >= 50
         ref = scan_decision_search(cg, cg.n_nodes, None, _Budget())
-        res = _decision_search(cg, cg.n_nodes, None, _Budget())
-        assert (res.status, res.nodes) == (ref.status, ref.nodes) == ("found", cg.n_nodes)
-        assert res.coloring.colors == ref.coloring.colors == greedy_color(cg).colors
+        for kernel in KERNELS.values():
+            res = _search_with(kernel, cg, cg.n_nodes, None, _Budget())
+            assert (res.status, res.nodes) == (ref.status, ref.nodes) == ("found", cg.n_nodes)
+            assert res.coloring.colors == ref.coloring.colors == greedy_color(cg).colors
+
+
+class TestKernelChoice:
+    """The search runs on masks exactly when an m-bit mask spans no more
+    64-bit words than the largest conflict degree; the greedy never does."""
+
+    @pytest.fixture
+    def ran(self, monkeypatch):
+        ran = []
+        for name, kernel in KERNELS.items():
+            def spy(*args, name=name, kernel=kernel):
+                ran.append(name)
+                return kernel(*args)
+            monkeypatch.setattr(solver, kernel.__name__, spy)
+        return ran
+
+    @pytest.mark.parametrize("n, kernel", [(256, "masks"), (257, "buckets")])
+    def test_width_rule_at_the_bound(self, ran, n, kernel):
+        # Every conflict degree of C_n is 4: 256 nodes fill 4 words, 257
+        # spill into a fifth.
+        cg = conflict_graph(cycle_graph(n))
+        assert set(cg.degrees) == {4}
+        assert find_coloring(cg, 5, node_budget=2000).status == "found"
+        assert ran == [kernel]
+
+    def test_greedy_runs_on_buckets_on_a_narrow_graph(self, ran):
+        cg = conflict_graph(cycle_graph(256))
+        verify(cg, greedy_color(cg))
+        exact_chi_s(cg, node_budget=2000)
+        assert ran[:2] == ["buckets", "buckets"]
+        assert set(ran[2:]) == {"masks"}
+
+    def test_wide_search_peak_stays_small(self):
+        # The k = 3, girth-10 seed-1 graph (m = 4608, 72 words against
+        # degree 12) stays on buckets, which peak near 1.7 MB here; masks
+        # would hold m-bit copies in every frame.
+        cg = conflict_graph(generate(3, 10, choose_n(3, 10), 1)[0])
+        assert cg.n_nodes == 4608
+        res, _held, peak = traced(lambda: find_coloring(cg, 7, node_budget=6000))
+        assert (res.status, res.nodes) == ("timeout", 6001)
+        assert peak < 3_000_000
