@@ -19,7 +19,6 @@ from strongedge.solver import (
     _Budget,
     _bucket_kernel,
     _clique_lower_bound,
-    _decision_search,
     _mask_kernel,
     _search_with,
 )
@@ -359,8 +358,8 @@ class TestScanEquivalence:
         # it back on undo, also on a graph with at least 3 distinct conflict
         # degrees, where the picks after either must keep each node's degree
         # rank; or the comparison above could pass on paths a kernel never
-        # takes.  A refutation under cap 1 tries the special color wherever
-        # it is legal, so it uses it up and regains it on the way back.
+        # takes.  A refutation under cap 1 has given the root the special
+        # color and taken it back, so it used it up and regained it.
         seen = set()
         for name, kernel in KERNELS.items():
             for graph in EQUIVALENCE_FAMILY.values():
@@ -420,8 +419,10 @@ class TestKernelChoice:
         assert ran == [kernel]
 
     def test_greedy_runs_on_buckets_on_a_narrow_graph(self, ran):
+        # exact_chi_s takes its upper bound from the greedy, then decides
+        # the counts below it by the search, which runs on masks here.
         cg = conflict_graph(cycle_graph(256))
-        verify(cg, greedy_color(cg))
+        assert verify(cg, greedy_color(cg))
         exact_chi_s(cg, node_budget=2000)
         assert ran[:2] == ["buckets", "buckets"]
         assert set(ran[2:]) == {"masks"}
