@@ -369,19 +369,21 @@ def _mask_kernel(cg: ConflictGraph, palette: int, special_cap: int | None,
     its degree.  The special color is counted at pick time: with
     it legal, R[j] | (R[j-1] & F[special]) holds the nodes with at least j
     colors forbidden, so nothing re-keys when it runs out or comes back.
-    The pick is the lowest set bit of the highest non-empty level.  A frame
-    keeps the list R as it was before its node's color, the mask that
-    color's F held, and the counters, so undo restores them without
-    touching a node.
+    The pick is the lowest set bit of the highest non-empty level, so
+    exactly `top` of its legal colors are forbidden.  A pick scans from
+    color 0 to its first free color: a regular color in use, else the fresh
+    color `used` while one is left, else the special color, whose index is
+    `regular`.  Its frame keeps the color's index and the count of free
+    colors left untried, and a back-up resumes the scan one color on, or at
+    the special color after the fresh one.  A frame also keeps R as it was
+    before its node's color, the mask that color's F held, and the
+    counters, so undo restores them without touching a node.
     """
     m = cg.n_nodes
     nodes = budget.nodes
     node_limit = float("inf") if budget.node_limit is None else budget.node_limit
     deadline = budget.deadline
-    regular = palette if special_cap is None else palette - 1
-    full = (1 << regular) - 1
-    special_bit = 0 if special_cap is None else 1 << (palette - 1)
-    special = palette - 1
+    special = regular = palette if special_cap is None else palette - 1
     degrees = cg.degrees
     order = sorted(range(m), key=lambda v: (-degrees[v], v))
     position = [0] * m
@@ -396,9 +398,9 @@ def _mask_kernel(cg: ConflictGraph, palette: int, special_cap: int | None,
     used = 0
     special_left = special_cap or 0
     top = 0  # an upper bound on the highest non-empty level
-    # One frame per colored node: (its bit, untried colors, R before its
-    # color, used, special_left and top before it, its color index, the
-    # mask F held for that color before it).
+    # One frame per colored node: (its bit, its color index, the free colors
+    # after it left untried, R before its color, used, special_left and top
+    # before it, the mask F held for that color before it).
     stack: list[tuple] = []
     status = FOUND
 
@@ -412,44 +414,42 @@ def _mask_kernel(cg: ConflictGraph, palette: int, special_cap: int | None,
         ):
             status = TIMEOUT
             break
-        legal = (2 << used) - 1 if used < regular else full
+        legal = used + 1 if used < regular else regular  # how many colors are legal
         if special_left > 0:
-            legal |= special_bit
+            legal += 1
             f = F[special]
             while not (level := (R[top] | R[top - 1] & f) & R[0]):
                 top -= 1
         else:
             while not (level := R[top] & R[0]):
                 top -= 1
-        if top < legal.bit_count():
+        if top < legal:
             b = level & -level
-            untried = legal
-            for i in range(used):
-                if F[i] & b:
-                    untried ^= 1 << i
-            if special_left > 0 and f & b:
-                untried ^= special_bit
+            left = legal - top  # free colors from i on
+            i = 0
             R[0] ^= b
         else:
             # Back up to the deepest frame with an untried color; each pop
             # puts back the state from before that frame's color.
             while stack:
-                b, untried, R, used, special_left, top, i, old = stack.pop()
+                b, i, left, R, used, special_left, top, old = stack.pop()
                 F[i] = old
-                if untried:
+                if left:
+                    i = special if i == used else i + 1
                     break
             else:
                 status = EXHAUSTED
                 break
 
-        bit = untried & -untried
-        i = bit.bit_length() - 1
+        # Stops at the next free color: one is left, and F[used] == 0 if fresh.
+        while F[i] & b:
+            i += 1
         old = F[i]
-        stack.append((b, untried ^ bit, R, used, special_left, top, i, old))
+        stack.append((b, i, left - 1, R, used, special_left, top, old))
         R = R[:]
         F[i] = new = old | nbr[b.bit_length() - 1]
         nv = (new ^ old) & R[0]
-        if bit == special_bit:
+        if i == special:
             special_left -= 1
             if nv and special_left > 0:
                 top += 1
@@ -470,7 +470,7 @@ def _mask_kernel(cg: ConflictGraph, palette: int, special_cap: int | None,
     colors = [0] * m
     if status == FOUND:
         for frame in stack:
-            colors[order[frame[0].bit_length() - 1]] = frame[6] + 1
+            colors[order[frame[0].bit_length() - 1]] = frame[1] + 1
     return status, colors
 
 

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from strongedge import (
     StrongColoring,
@@ -332,6 +333,20 @@ class TestScanEquivalence:
             for special_cap in (None, 0, 1, 3):
                 for node_budget in (1, 7, 60, 2000, None if cg.n_nodes <= 15 else 5000):
                     self.assert_same_as_scan(cg, palette, special_cap, node_budget)
+
+    @given(
+        rng=st.randoms(use_true_random=False),
+        palette=st.integers(0, 8),
+        special_cap=st.none() | st.integers(0, 3),
+        node_budget=st.integers(1, 3000),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_same_outcome_as_scan_on_random_questions(self, rng, palette, special_cap,
+                                                      node_budget):
+        # Both kernels, run directly, on a random simple graph on at most 14
+        # vertices, with any palette, cap and node budget in these ranges.
+        cg = conflict_graph(random_simple_graph(rng, 14, 24))
+        self.assert_same_as_scan(cg, palette, special_cap, node_budget)
 
     @pytest.mark.parametrize("g", [5, 6, 7])
     def test_same_outcome_as_scan_on_counterexamples(self, g):
