@@ -56,11 +56,10 @@ def _require_regular(g: SimpleGraph, k: int) -> None:
         raise ValueError(f"degree must be >= 2, got {k}")
     if g.n_vertices == 0:
         raise NotRegularError("graph has no vertices; the bound needs an edge")
-    bad = next((v for v in range(g.n_vertices) if g.degree(v) != k), None)
-    if bad is not None:
-        raise NotRegularError(
-            f"vertex {bad} has degree {g.degree(bad)}, expected {k}"
-        )
+    if not g.is_regular(k):
+        degrees = g.degrees()
+        bad = next(v for v, d in enumerate(degrees) if d != k)
+        raise NotRegularError(f"vertex {bad} has degree {degrees[bad]}, expected {k}")
 
 
 def counting_certificate(g: SimpleGraph, k: int) -> CountingCertificate:

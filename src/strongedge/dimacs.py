@@ -14,6 +14,8 @@ always produce byte-identical files.
 
 from __future__ import annotations
 
+from array import array
+from itertools import islice
 from pathlib import Path
 
 from .errors import DimacsParseError, DuplicateEdgeError
@@ -30,7 +32,9 @@ def parse_dimacs(text: str) -> SimpleGraph | BipartiteGraph:
     n_vertices: int | None = None
     n_edges_declared: int | None = None
     bipartition: tuple[int, int] | None = None
-    edge_lines: list[tuple[int, int, int]] = []  # (line_no, u, v), 1-based u, v
+    # each edge line's 1-based u and v in turn, flat: no tuple or int is held
+    # per edge, and an edge's line number is found again only for an error
+    ends = array("i")  # endpoints are at most MAX_VERTICES
 
     # only "\n" ends a line, as for a line-based reader; strip() drops a "\r"
     for line_no, raw in enumerate(text.split("\n"), start=1):
@@ -39,6 +43,23 @@ def parse_dimacs(text: str) -> SimpleGraph | BipartiteGraph:
             continue
         parts = line.split()
         kind = parts[0]
+        if kind == "e":
+            if n_vertices is None:
+                raise DimacsParseError("edge line before problem line", line_no)
+            if len(parts) != 3:
+                raise DimacsParseError(f"expected 'e <u> <v>', got {line!r}", line_no)
+            try:
+                u, v = int(parts[1]), int(parts[2])
+            except ValueError:
+                raise DimacsParseError("endpoints must be integers", line_no) from None
+            if not (1 <= u <= n_vertices and 1 <= v <= n_vertices):
+                raise DimacsParseError(
+                    f"endpoint out of range 1..{n_vertices}", line_no
+                )
+            if u == v:
+                raise DimacsParseError(f"self-loop at vertex {u}", line_no)
+            ends.extend((u, v))
+            continue
         if kind == "c":
             if len(parts) >= 2 and parts[1] == "bipartition":
                 if len(parts) != 4:
@@ -73,60 +94,50 @@ def parse_dimacs(text: str) -> SimpleGraph | BipartiteGraph:
                     f"vertex count {n_vertices} exceeds the cap of {MAX_VERTICES}", line_no
                 )
             continue
-        if kind == "e":
-            if n_vertices is None:
-                raise DimacsParseError("edge line before problem line", line_no)
-            if len(parts) != 3:
-                raise DimacsParseError(f"expected 'e <u> <v>', got {line!r}", line_no)
-            try:
-                u, v = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise DimacsParseError("endpoints must be integers", line_no) from None
-            if not (1 <= u <= n_vertices and 1 <= v <= n_vertices):
-                raise DimacsParseError(
-                    f"endpoint out of range 1..{n_vertices}", line_no
-                )
-            if u == v:
-                raise DimacsParseError(f"self-loop at vertex {u}", line_no)
-            edge_lines.append((line_no, u, v))
-            continue
         raise DimacsParseError(f"unrecognized line {line!r}", line_no)
 
     if n_vertices is None:
         raise DimacsParseError("missing 'p edge' problem line")
-    if len(edge_lines) != n_edges_declared:
+    if len(ends) // 2 != n_edges_declared:
         raise DimacsParseError(
-            f"header declares {n_edges_declared} edges but file has {len(edge_lines)}"
+            f"header declares {n_edges_declared} edges but file has {len(ends) // 2}"
         )
 
     vertex = list(range(-1, n_vertices))  # 1-based id -> its one 0-based int
-    if bipartition is not None:
+    if bipartition is None:
+        graph = SimpleGraph(n_vertices)
+    else:
         a, b = bipartition
         if a + b != n_vertices:
             raise DimacsParseError(
                 f"bipartition {a}+{b} does not match vertex count {n_vertices}"
             )
-        bg = BipartiteGraph(a, b)
-        for line_no, u, v in edge_lines:
+        graph = BipartiteGraph(a, b)
+    # range and self-loops were checked per line, so an edge goes in with
+    # only the side and duplicate checks
+    insert, pairs = graph._insert, iter(ends)
+    try:
+        if bipartition is None:
+            for u, v in zip(pairs, pairs):
+                insert(vertex[u], vertex[v])
+            return graph
+        for u, v in zip(pairs, pairs):
             lo, hi = (u, v) if u < v else (v, u)
             if not (lo <= a < hi):
                 raise DimacsParseError(
-                    f"edge ({u}, {v}) does not cross the bipartition", line_no
+                    f"edge ({u}, {v}) does not cross the bipartition",
+                    _edge_line_no(text, graph.n_edges),
                 )
-            _checked_add(bg, line_no, vertex[lo], vertex[hi])
-        return bg
-
-    g = SimpleGraph(n_vertices)
-    for line_no, u, v in edge_lines:
-        _checked_add(g, line_no, vertex[u], vertex[v])
-    return g
-
-
-def _checked_add(g, line_no: int, u: int, v: int) -> None:
-    try:
-        g.add_edge(u, v)
+            insert(vertex[lo], vertex[hi])
     except DuplicateEdgeError:
-        raise DimacsParseError("duplicate edge", line_no) from None
+        raise DimacsParseError("duplicate edge", _edge_line_no(text, graph.n_edges)) from None
+    return graph
+
+
+def _edge_line_no(text: str, i: int) -> int:
+    """The number of the ``i``-th edge line of ``text``, counted from 0."""
+    lines = enumerate(text.split("\n"), start=1)
+    return next(islice((no for no, raw in lines if raw.split()[:1] == ["e"]), i, None))
 
 
 def serialize_dimacs(g: SimpleGraph) -> str:

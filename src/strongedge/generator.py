@@ -10,10 +10,11 @@ two edges x_l y_h and y_l x_h instead.  Both moves preserve girth >= g, and
 above a parameter floor (:func:`min_n`) the swap edge is guaranteed to
 exist by a counting argument, so construction cannot get stuck.
 
-:func:`generate` validates its input once and owns the graph; each level
-lifts it in place, and the girth is measured once per build, on the final
-graph.  That bounds every level's girth too: a level swaps out only edges
-it added itself, so each level's graph is a subgraph of the final one.
+:func:`_build` validates its input once and owns the graph; each level
+lifts it in place.  The girth is measured once per build, on the final
+graph: by :func:`generate`, or by the counterexample pipeline's checks.
+That bounds every level's girth too: a level swaps out only edges it added
+itself, so each level's graph is a subgraph of the final one.
 
 Every accepted step is recorded in a :class:`GeneratorTrace`, so the
 output graph can be rebuilt from the base cycle one step at a time.
@@ -349,7 +350,7 @@ def _raise_degree(graph: BipartiteGraph, k: int, girth_target: int, rng: random.
     the steps.  Each step re-checks the girth around the edges it adds; the
     level measures no girth itself.  Its input has girth >= girth_target
     (the base cycle has 2n >= g, and later inputs are subgraphs of the
-    final graph, whose girth :func:`generate` measures)."""
+    final graph, whose girth the caller of :func:`_build` measures)."""
     state = AugmentState.from_graph(graph, k, girth_target)
     steps: list = []
     while state.x_low:
@@ -374,18 +375,11 @@ def _raise_degree(graph: BipartiteGraph, k: int, girth_target: int, rng: random.
     return steps
 
 
-def generate(
+def _build(
     k: int, g: int, n: int, seed: int = 0, *, force: bool = False
 ) -> tuple[BipartiteGraph, GeneratorTrace]:
-    """Build a k-regular bipartite graph on 2n vertices with girth >= g.
-
-    A pure function of its arguments: the same inputs give an identical
-    graph and trace on every run.  ``n`` below :func:`min_n` is rejected
-    unless ``force`` is set, in which case an unlucky construction raises
-    :class:`ConstructionFailedError` instead of being guaranteed.  The
-    arguments are validated here, once; the levels 3..k then lift the base
-    cycle in place, and the girth of the finished graph is measured once.
-    """
+    """:func:`generate` without its girth check, which is left to the
+    caller, and without its mapping of failures under ``force``."""
     _check_params(k, g)
     if not force:
         check_floor_fits(k, g)
@@ -401,9 +395,24 @@ def generate(
     rng = random.Random(seed)
     graph = base_cycle(n)
     steps: list = []
+    for level in range(3, k + 1):
+        steps.extend(_raise_degree(graph, level, g, rng))
+    return graph, GeneratorTrace(k=k, g=g, n=n, seed=seed, steps=tuple(steps))
+
+
+def generate(
+    k: int, g: int, n: int, seed: int = 0, *, force: bool = False
+) -> tuple[BipartiteGraph, GeneratorTrace]:
+    """Build a k-regular bipartite graph on 2n vertices with girth >= g.
+
+    A pure function of its arguments: the same inputs give an identical
+    graph and trace on every run.  ``n`` below :func:`min_n` is rejected
+    unless ``force`` is set, in which case an unlucky construction raises
+    :class:`ConstructionFailedError` instead of being guaranteed.  The
+    girth of the finished graph is measured once, here.
+    """
     try:
-        for level in range(3, k + 1):
-            steps.extend(_raise_degree(graph, level, g, rng))
+        graph, trace = _build(k, g, n, seed, force=force)
         if k >= 3 and girth(graph) < g:
             raise InternalInvariantError("final girth check failed after augmentation")
     except InternalInvariantError as exc:
@@ -413,4 +422,4 @@ def generate(
                 f"min_n({k}, {g}); retry with a different seed"
             ) from exc
         raise
-    return graph, GeneratorTrace(k=k, g=g, n=n, seed=seed, steps=tuple(steps))
+    return graph, trace

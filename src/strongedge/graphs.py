@@ -102,7 +102,7 @@ class SimpleGraph:
         return [len(a) for a in self._adj]
 
     def is_regular(self, k: int) -> bool:
-        return all(len(a) == k for a in self._adj)
+        return self.degrees().count(k) == self.n_vertices
 
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < self.n_vertices:
@@ -203,25 +203,29 @@ def girth(g: SimpleGraph) -> int | float:
     its right neighbors, so the right side has peeled away before its roots
     come up.  ``g`` itself is not modified.  For bipartite graphs the
     result is even.
+
+    One list holds each vertex's depth in the current BFS, -1 for a vertex
+    it has not reached and -2 for a deleted or peeled one.  The BFS needs
+    no parent array: a neighbor one layer up is skipped, and it is either
+    the parent or a second parent, whose cycle of length 2 * du was counted
+    when its own layer was expanded.
     """
     best: int | float = INFINITE_GIRTH
     n = g.n_vertices
     adj = g._adj
     degree = [len(a) for a in adj]
-    deleted = bytearray(n)
     dist = [-1] * n
-    parent = [-1] * n
 
     def peel(doomed: list[int]) -> None:
         """Delete the doomed vertices, dooming each neighbor whose remaining
         degree drops to 1."""
         while doomed:
             v = doomed.pop()
-            if deleted[v]:
+            if dist[v] == -2:
                 continue
-            deleted[v] = 1
+            dist[v] = -2
             for w in adj[v]:
-                if not deleted[w]:
+                if dist[w] != -2:
                     degree[w] -= 1
                     if degree[w] == 1:
                         doomed.append(w)
@@ -229,7 +233,7 @@ def girth(g: SimpleGraph) -> int | float:
     slack = 1 if two_coloring(g)[1] else 2
     peel([v for v in range(n) if degree[v] <= 1])
     for root in range(n):
-        if deleted[root]:
+        if dist[root] == -2:
             continue
         dist[root] = 0
         queue = [root]
@@ -240,22 +244,18 @@ def girth(g: SimpleGraph) -> int | float:
             # never fall, so past this bound no later vertex improves `best`.
             if 2 * du + slack >= best:
                 break
+            up = du - 1  # d > up: this layer or the next, never -2
             for w in adj[u]:
-                # a simple graph has one edge to the parent: skipping the
-                # parent vertex skips exactly the edge the BFS came along
-                if w == parent[u] or deleted[w]:
-                    continue
-                if dist[w] < 0:
+                d = dist[w]
+                if d == -1:
                     dist[w] = du + 1
-                    parent[w] = u
                     queue.append(w)
-                else:
-                    cand = du + dist[w] + 1
+                elif d > up:
+                    cand = du + d + 1
                     if cand < best:
                         best = cand
         for u in queue:
             dist[u] = -1
-            parent[u] = -1
         peel([root])
     return best
 

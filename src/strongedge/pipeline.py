@@ -22,7 +22,7 @@ from . import dimacs
 from .bounds import CountingCertificate, check_class_sizes, counting_certificate
 from .dimacs import serialize_dimacs
 from .errors import InternalInvariantError, NotRegularError, VerificationError
-from .generator import check_floor_fits, choose_n, generate, min_n
+from .generator import _build, check_floor_fits, choose_n, generate, min_n
 from .graphs import SimpleGraph, conflict_graph, girth, two_coloring
 from .solver import greedy_color, min_last_color_usage
 
@@ -186,15 +186,16 @@ def build_counterexample(
     Picks n = choose_n(k, g), builds the graph, then recomputes every
     property from scratch (girth, degrees, divisibility) on the path
     :func:`certify_graph` takes before writing ``graph_out`` and emitting
-    the record.  For k = 3 the record refutes the five-color bound
-    for large-girth cubic bipartite graphs at girth g.  The greedy coloring
-    behind the upper bound is held to the certificate: every class within
-    its cap and at least ``chi_s_lower`` colors, else
-    :class:`InternalInvariantError`.
+    the record.  The build leaves the girth to those checks, so it is
+    measured once, and a graph below the floor fails them as ``girth``.
+    For k = 3 the record refutes the five-color bound for large-girth cubic
+    bipartite graphs at girth g.  The greedy coloring behind the upper bound
+    is held to the certificate: every class within its cap and at least
+    ``chi_s_lower`` colors, else :class:`InternalInvariantError`.
     """
     check_floor_fits(k, g)
     n = choose_n(k, g)
-    graph = generate(k, g, n, seed)[0]
+    graph = _build(k, g, n, seed)[0]
     _check(
         "vertex-count",
         graph.n_vertices == 2 * n,

@@ -83,6 +83,13 @@ class TestParse:
         # 167 B with one tuple per edge and one int per vertex
         assert held / graph.n_edges < 210
 
+    def test_parse_peaks_under_200_bytes_an_edge(self):
+        text = serialize_dimacs(generate(3, 8, choose_n(3, 8), 1)[0])
+        graph, _held, peak = traced(parse_dimacs, text)
+        # 305 B with a (line_no, u, v) tuple buffered per edge line; 182 B
+        # with the endpoints flat in an int array
+        assert peak / graph.n_edges <= 200
+
     def test_duplicate_edge_reports_line(self):
         for text, line_no in [
             ("p edge 2 2\ne 1 2\ne 2 1\n", 3),

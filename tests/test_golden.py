@@ -371,8 +371,11 @@ def k3_conflict_graph(g: int, seed: int, build=generate):
 
 @pytest.fixture
 def legacy(monkeypatch):
-    """Let the pipeline build its graphs with the earlier draws."""
+    """Let the pipeline build its graphs with the earlier draws.  The sweep
+    calls ``generate``; the counterexample calls the build part, which has
+    the same return shape."""
     monkeypatch.setattr("strongedge.pipeline.generate", legacy_generate)
+    monkeypatch.setattr("strongedge.pipeline._build", legacy_generate)
 
 
 def generate_pin(build, case) -> tuple[str, str]:

@@ -359,6 +359,24 @@ class TestGirth:
             graph.add_edge(u, u + 1)
         assert girth(graph) == brute_girth(graph) == min(a, b)
 
+    @pytest.mark.parametrize("make", [heawood_graph, lambda: generate(3, 6, 96, 0)[0]])
+    def test_deleted_vertices_stay_out_of_later_searches(self, make):
+        # Deleting and peeling only save work, so no girth value shows a
+        # deleted vertex coming back; the adjacency reads do.  Two-coloring
+        # reads each list once and deletion once, and the searches about 1.5
+        # times a vertex here; with deleted vertices let back in, 6.5 to 7.
+        class CountedReads(list):
+            reads = 0
+
+            def __getitem__(self, v):
+                self.reads += 1
+                return super().__getitem__(v)
+
+        graph = make()
+        graph._adj = CountedReads(graph._adj)
+        assert girth(graph) == 6
+        assert graph._adj.reads <= 4 * graph.n_vertices
+
     def test_isolated_vertices_around_a_cycle(self):
         graph = SimpleGraph(12)
         for i in range(5):

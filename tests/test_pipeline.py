@@ -94,6 +94,43 @@ class TestBuildCounterexample:
         assert exc.value.check == "girth"
         assert not out.exists()
 
+    def test_girth_measured_once_per_build(self, monkeypatch):
+        # the build leaves the girth to the checks: one measurement, the
+        # pipeline's own, and none by the generator
+        import strongedge.generator
+        import strongedge.pipeline
+
+        calls = {"pipeline": 0, "generator": 0}
+
+        def counting(module):
+            def counted(graph):
+                calls[module] += 1
+                return girth(graph)
+
+            return counted
+
+        for module in calls:
+            monkeypatch.setattr(f"strongedge.{module}.girth", counting(module))
+        build_counterexample(6, k=3, seed=1, with_upper_bound=False)
+        assert calls == {"pipeline": 1, "generator": 0}
+
+    def test_built_graph_below_the_floor_is_refused(self, tmp_path, monkeypatch):
+        # The generator's own girth check is out of the build path, so the
+        # pipeline's must catch a built graph below the floor: Heawood has
+        # girth 6, 7 vertices a side and m = 21 not divisible by 5.
+        import strongedge.pipeline
+
+        monkeypatch.setattr(strongedge.pipeline, "choose_n", lambda k, g: 7)
+        monkeypatch.setattr(
+            strongedge.pipeline, "_build", lambda k, g, n, seed: (heawood_graph(), None)
+        )
+        out = tmp_path / "graph.dimacs"
+        with pytest.raises(VerificationError) as exc:
+            build_counterexample(8, k=3, seed=1, graph_out=out)
+        assert exc.value.check == "girth"
+        assert "measured girth 6 is below the floor 8" in str(exc.value)
+        assert not out.exists()
+
     def test_greedy_coloring_held_to_the_certificate(self, monkeypatch):
         # m = 144 in five classes: one holds more than the cap 144 // 5 = 28,
         # and five colors are below the certificate's six
