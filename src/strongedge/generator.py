@@ -25,7 +25,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from collections import deque
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -206,16 +206,20 @@ def _below(rng: random.Random, n: int) -> int:
     return value
 
 
-def _shuffled(rng: random.Random, items: Iterable) -> Iterator:
+def _shuffled(rng: random.Random, items: Sequence) -> Iterator:
     """Yield ``items`` in uniformly random order, drawing each one only when
     it is asked for: a Fisher-Yates shuffle of a copy, run from the front.
-    A caller that stops after t items has made t draws, not one per item."""
-    pool = list(items)
-    size = len(pool)
-    for i in range(size):
-        j = i + _below(rng, size - i)
-        pool[i], pool[j] = pool[j], pool[i]
-        yield pool[i]
+    A caller that stops after t items has made t draws, not one per item,
+    and one that stops after the first has not copied ``items`` either."""
+    if items:
+        j = _below(rng, len(items))
+        yield items[j]
+        pool = list(items)
+        pool[0], pool[j] = pool[j], pool[0]
+        for i in range(1, len(pool)):
+            j = i + _below(rng, len(pool) - i)
+            pool[i], pool[j] = pool[j], pool[i]
+            yield pool[i]
 
 
 def _edge_keeps_girth(graph: BipartiteGraph, u: int, v: int, girth_target: int) -> bool:
@@ -308,7 +312,7 @@ def find_swap_edge(
     if not state.added:
         raise InternalInvariantError("swap requested with no added edges")
     dist = distances_from(state.graph, [x_l, y_l], state.girth_target - 2)
-    for x_h, y_h in _shuffled(rng, state.added):
+    for x_h, y_h in _shuffled(rng, tuple(state.added)):
         if dist[x_h] < 0 and dist[y_h] < 0:
             return x_h, y_h
     raise InternalInvariantError(

@@ -192,17 +192,18 @@ def girth(g: SimpleGraph) -> int | float:
     """Length of a shortest cycle, or ``INFINITE_GIRTH`` for forests.
 
     One BFS per root, each cut off once ``2 * du + slack >= best`` (slack 2
-    when :func:`two_coloring` finds no odd cycle, else 1), on a graph that
-    shrinks as it goes: after a root's BFS the root is deleted, and then
-    every vertex left with at most one neighbor is peeled away, until what
-    remains is a 2-core.  This is exact, since girth(H) is the minimum of
-    the shortest cycle through r and girth(H - r), a vertex of degree at
-    most 1 lies on no cycle, and every length a BFS reports closes a walk
-    that contains a cycle of what remains.  On a bipartite graph with its
-    left side numbered first, each deleted left root lowers the degrees of
-    its right neighbors, so the right side has peeled away before its roots
-    come up.  ``g`` itself is not modified.  For bipartite graphs the
-    result is even.
+    on a graph with no odd cycle, else 1), on a graph that shrinks as it
+    goes: after a root's BFS the root is deleted, and then every vertex
+    left with at most one neighbor is peeled away, until what remains is a
+    2-core.  This is exact, since girth(H) is the minimum of the shortest
+    cycle through r and girth(H - r), a vertex of degree at most 1 lies on
+    no cycle, and every length a BFS reports closes a walk that contains a
+    cycle of what remains.  On a bipartite graph with its left side
+    numbered first, each deleted left root lowers the degrees of its right
+    neighbors, so the right side has peeled away before its roots come up.
+    ``g`` itself is not modified.  For bipartite graphs the result is even.
+    Only a plain :class:`SimpleGraph` is 2-colored for the slack; ``add_edge``
+    and ``parse_dimacs`` keep a :class:`BipartiteGraph` bipartite.
 
     One list holds each vertex's depth in the current BFS, -1 for a vertex
     it has not reached and -2 for a deleted or peeled one.  The BFS needs
@@ -230,7 +231,7 @@ def girth(g: SimpleGraph) -> int | float:
                     if degree[w] == 1:
                         doomed.append(w)
 
-    slack = 1 if two_coloring(g)[1] else 2
+    slack = 2 if isinstance(g, BipartiteGraph) or two_coloring(g)[1] is None else 1
     peel([v for v in range(n) if degree[v] <= 1])
     for root in range(n):
         if dist[root] == -2:

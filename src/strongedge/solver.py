@@ -17,9 +17,9 @@ costs a few mask operations per level.  The search runs on masks when an
 m-bit mask spans no more 64-bit words than the largest conflict degree, and
 on buckets otherwise.  Both run on an explicit stack, so the depth is
 bounded by memory, not by the interpreter's recursion limit.  The
-saturation greedy is the bucket kernel's first descent with a palette of
-one color per edge.  All searches are deterministic; budgets are
-wall-clock with a node-count alternative for reproducible CI.
+saturation greedy is that tree's first descent with one color per edge,
+run by its own loop on the bucket layout.  All searches are deterministic;
+budgets are wall-clock with a node-count alternative for reproducible CI.
 """
 
 from __future__ import annotations
@@ -137,14 +137,44 @@ def greedy_color(cg: ConflictGraph) -> StrongColoring:
     chi'_s.
 
     Colors next the node with the most distinct neighbor colors, ties by
-    conflict degree then lowest index, giving it the lowest free color.
-    This is the bucket kernel's first descent with one color per edge
-    available: a fresh color is always free, so it never backtracks, and
-    fewest available colors means most distinct neighbor colors.  It runs
-    on buckets at every m: on masks each of its m steps would copy m-bit
-    integers.
+    conflict degree then lowest index, giving it the lowest free color: the
+    search's first descent with one color per edge, which never backs up,
+    run on the bucket kernel's layout with no stack, undo state or budget.
     """
-    return _search_with(_bucket_kernel, cg, cg.n_nodes, None, _Budget()).coloring
+    m, adj = cg.n_nodes, cg.adj
+    entry, key, buckets = _saturation_buckets(cg.degrees, m)
+    forbid = [0] * m  # -1 once colored, so every bit test passes over it
+    colors = [0] * m
+    top = 0  # after a pick's touches, at most one above the highest key
+    for _ in range(m):
+        while not buckets[top]:
+            top -= 1
+        buckets[top].remove(e := min(buckets[top]))
+        v = e % m
+        f = forbid[v]
+        bit = ~f & (f + 1)  # the lowest zero bit
+        colors[v] = bit.bit_length()
+        forbid[v] = -1
+        for w in adj[v]:
+            if not forbid[w] & bit:
+                forbid[w] |= bit
+                k = key[w]
+                buckets[k].remove(e := entry[w])
+                key[w] = k = k + 1
+                buckets[k].add(e)
+        top += 1
+    phi = StrongColoring(colors)
+    if not verify(cg, phi):
+        raise InternalInvariantError("greedy produced an invalid coloring")
+    return phi
+
+
+def _saturation_buckets(degrees, palette: int) -> tuple[list[int], list[int], list[set[int]]]:
+    """:func:`_bucket_kernel`'s entries, keys and buckets before a pick."""
+    m, max_degree = len(degrees), max(degrees, default=0)
+    entry = [(max_degree - d) * m + v for v, d in enumerate(degrees)]
+    buckets = [set(entry)] + [set() for _ in range(min(palette, max_degree) + 1)]
+    return entry, [0] * m, buckets
 
 
 def _decision_search(
@@ -218,7 +248,6 @@ def _bucket_kernel(cg: ConflictGraph, palette: int, special_cap: int | None,
     full = (1 << regular) - 1
     special_bit = 0 if special_cap is None else 1 << (palette - 1)
     adj = cg.adj
-    degrees = cg.degrees
     colors = [0] * m
     forbid = [0] * m
     used = 0
@@ -234,11 +263,7 @@ def _bucket_kernel(cg: ConflictGraph, palette: int, special_cap: int | None,
     # keys by one, so `top` rises by one after a touch that moved a node,
     # into the spare empty level on top, and the pick's walk-down lowers
     # it.  When all conflict degrees are equal, entry[v] == v.
-    max_degree = max(degrees)
-    entry = [(max_degree - d) * m + v for v, d in enumerate(degrees)]
-    key = [0] * m
-    buckets: list[set[int]] = [set() for _ in range(min(palette, max_degree) + 2)]
-    buckets[0].update(entry)
+    entry, key, buckets = _saturation_buckets(cg.degrees, palette)
     top = 0
 
     def rekey_special_neighbors() -> None:

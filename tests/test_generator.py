@@ -288,6 +288,19 @@ class TestShuffled:
             assert sorted(items) == list(range(n)), n
             assert ours.getstate() == theirs.getstate(), n
 
+    @pytest.mark.parametrize("n", range(13))
+    def test_every_stop_point_matches_reference(self, n):
+        # t = 1 reads the first item from the sequence itself, t = 2 makes
+        # the copy and its first swap; each stop leaves the generator where
+        # the reference leaves it
+        items = tuple(f"item{i}" for i in range(n))
+        for seed in range(5):
+            for t in range(n + 1):
+                ours, theirs = random.Random(seed), random.Random(seed)
+                taken = list(itertools.islice(_shuffled(ours, items), t))
+                assert taken == list(itertools.islice(front_run(theirs, items), t)), (seed, t)
+                assert ours.getstate() == theirs.getstate(), (seed, t)
+
     @pytest.mark.parametrize("n", [1, 2, 3, 64, 65, 1536])
     def test_draws_only_for_the_items_taken(self, n):
         # one draw below n - i for item i, and none before the first item

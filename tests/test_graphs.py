@@ -4,7 +4,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from strongedge.graphs import MAX_VERTICES
+from strongedge.graphs import MAX_VERTICES, two_coloring
 
 from strongedge import (
     INFINITE_GIRTH,
@@ -28,6 +28,7 @@ from _helpers import (
     conflicts_by_definition,
     cycle_graph,
     heawood_graph,
+    path_graph,
     petersen_graph,
     random_simple_graph,
     star_graph,
@@ -425,6 +426,85 @@ class TestGirth:
             assert graph.edges() == edges
             assert [graph.neighbors(v) for v in range(graph.n_vertices)] == adjacency
             assert girth(graph) == brute_girth(graph)
+
+
+def as_simple(graph: SimpleGraph) -> SimpleGraph:
+    """A plain copy of ``graph``: the same vertex ids and edges."""
+    out = SimpleGraph(graph.n_vertices)
+    for u, v in graph.edges():
+        out.add_edge(u, v)
+    return out
+
+
+def as_bipartite(graph: SimpleGraph) -> BipartiteGraph:
+    """``graph``, which has no odd cycle, as a :class:`BipartiteGraph`: the
+    sides of its 2-coloring numbered one after the other, and one isolated
+    right vertex added when every vertex is on the left."""
+    side, clash = two_coloring(graph)
+    assert clash is None
+    order = sorted(range(graph.n_vertices), key=lambda v: (side[v], v))
+    position = {v: i for i, v in enumerate(order)}
+    n_left = side.count(0)
+    out = BipartiteGraph(n_left, max(graph.n_vertices - n_left, 1))
+    for u, v in graph.edges():
+        out.add_edge(position[u], position[v])
+    return out
+
+
+class TestGirthSlackFromType:
+    """A BipartiteGraph gets slack 2 from its type, with no 2-coloring, so
+    its girth must match a plain copy's, which is 2-colored for it."""
+
+    @staticmethod
+    def assert_same_girth(graph: BipartiteGraph):
+        plain = as_simple(graph)
+        assert girth(graph) == girth(plain) == brute_girth(plain)
+
+    @given(bipartite_graphs())
+    @settings(max_examples=80, deadline=None)
+    def test_random_bipartite_graphs(self, graph):
+        self.assert_same_girth(graph)
+
+    @given(forests())
+    @settings(max_examples=60, deadline=None)
+    def test_forests(self, forest):
+        graph = as_bipartite(forest)
+        assert girth(graph) == INFINITE_GIRTH
+        self.assert_same_girth(graph)
+
+    def test_even_cycles(self):
+        for n in range(2, 12):
+            self.assert_same_girth(bipartite_cycle(n))
+            assert girth(bipartite_cycle(n)) == girth(cycle_graph(2 * n)) == 2 * n
+
+    def test_disjoint_unions(self):
+        rng = random.Random(3)
+        pieces = [heawood_graph(), complete_bipartite(2, 3), bipartite_cycle(5), path_graph(4)]
+        for _ in range(30):
+            union = disjoint_union(*rng.sample(pieces, rng.randint(1, len(pieces))))
+            self.assert_same_girth(as_bipartite(union))
+
+    def test_only_a_plain_graph_is_two_colored(self, monkeypatch):
+        import strongedge.graphs
+
+        calls = []
+
+        def counted(graph):
+            calls.append(type(graph).__name__)
+            return two_coloring(graph)
+
+        monkeypatch.setattr(strongedge.graphs, "two_coloring", counted)
+        assert girth(heawood_graph()) == girth(as_simple(heawood_graph())) == 6
+        assert calls == ["SimpleGraph"]
+
+    def test_odd_cycles_beside_even_ones(self):
+        # A plain graph with an odd cycle keeps slack 1: with slack 2 the
+        # cut-off 2 * du + 2 >= best would stop the 5-cycle's BFS at depth
+        # 2, once a 6-cycle has set best, before its closing edge is seen.
+        for pieces in [(cycle_graph(6), cycle_graph(5)), (cycle_graph(5), cycle_graph(6)),
+                       (heawood_graph(), cycle_graph(5)), (cycle_graph(4), cycle_graph(3))]:
+            union = disjoint_union(*pieces)
+            assert girth(union) == brute_girth(union) == min(map(brute_girth, pieces))
 
 
 class TestConflictGraph:

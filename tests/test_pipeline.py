@@ -146,6 +146,28 @@ class TestBuildCounterexample:
 
 
 class TestCertify:
+    def test_build_and_certify_each_two_color_once(self, tmp_path, monkeypatch):
+        # the bipartite check 2-colors the graph; girth takes its slack from
+        # the graph's type, both for the built graph and for the parsed file
+        import strongedge.graphs
+        import strongedge.pipeline
+
+        real = strongedge.graphs.two_coloring
+        calls = []
+
+        def counted(graph):
+            calls.append(type(graph).__name__)
+            return real(graph)
+
+        for module in (strongedge.graphs, strongedge.pipeline):
+            monkeypatch.setattr(module, "two_coloring", counted)
+        out = tmp_path / "g6.dimacs"
+        build_counterexample(6, k=3, seed=1, graph_out=out)
+        assert calls == ["BipartiteGraph"]
+        calls.clear()
+        certify_graph(out, 3)
+        assert calls == ["BipartiteGraph"]
+
     def test_heawood(self, tmp_path):
         path = tmp_path / "heawood.dimacs"
         save_dimacs(path, heawood_graph())

@@ -109,6 +109,39 @@ class TestGreedy:
             phi = greedy_color(cg)
             assert verify(cg, phi)
 
+    @staticmethod
+    def assert_first_descent(cg):
+        # the greedy is the bucket kernel's first descent with one color
+        # per edge: the same coloring, pick for pick
+        descent = _search_with(_bucket_kernel, cg, cg.n_nodes, None, _Budget())
+        assert greedy_color(cg).colors == descent.coloring.colors
+
+    @given(rng=st.randoms(use_true_random=False))
+    @settings(max_examples=300, deadline=None)
+    def test_first_descent_on_random_graphs(self, rng):
+        # irregular conflict degrees, so the degree rank in each entry
+        # decides picks that the index alone would decide otherwise
+        self.assert_first_descent(conflict_graph(random_simple_graph(rng, 16, 40)))
+
+    def test_first_descent_on_the_empty_graph(self):
+        from strongedge import SimpleGraph
+
+        self.assert_first_descent(conflict_graph(SimpleGraph(0)))
+
+    @pytest.mark.parametrize("k, g", [(3, 5), (3, 6), (3, 7), (3, 8), (4, 5)])
+    def test_first_descent_on_counterexamples(self, k, g):
+        self.assert_first_descent(conflict_graph(generate(k, g, choose_n(k, g), 1)[0]))
+
+    def test_peak_per_node_stays_small(self):
+        # No stack, undo lists or saved masks: at k = 3, g = 9 (m = 2304)
+        # the greedy peaks near 170 bytes a node, the bucket kernel's first
+        # descent near 420.
+        cg = conflict_graph(generate(3, 9, choose_n(3, 9), 1)[0])
+        assert cg.n_nodes == 2304
+        phi, _held, peak = traced(greedy_color, cg)
+        assert phi.verified
+        assert peak <= 250 * cg.n_nodes
+
 
 class TestBruteForce:
     def test_two_edge_path(self):
@@ -412,7 +445,8 @@ class TestScanEquivalence:
 
 class TestKernelChoice:
     """The search runs on masks exactly when an m-bit mask spans no more
-    64-bit words than the largest conflict degree; the greedy never does."""
+    64-bit words than the largest conflict degree; the greedy runs on
+    neither kernel."""
 
     @pytest.fixture
     def ran(self, monkeypatch):
@@ -433,14 +467,16 @@ class TestKernelChoice:
         assert find_coloring(cg, 5, node_budget=2000).status == "found"
         assert ran == [kernel]
 
-    def test_greedy_runs_on_buckets_on_a_narrow_graph(self, ran):
-        # exact_chi_s takes its upper bound from the greedy, then decides
-        # the counts below it by the search, which runs on masks here.
+    def test_greedy_runs_on_neither_kernel(self, ran):
+        # The greedy is its own loop, so it never runs on masks, even on a
+        # narrow graph; exact_chi_s takes its upper bound from the greedy,
+        # then decides the counts below it by the search, which runs on
+        # masks here.
         cg = conflict_graph(cycle_graph(256))
         assert verify(cg, greedy_color(cg))
+        assert ran == []
         exact_chi_s(cg, node_budget=2000)
-        assert ran[:2] == ["buckets", "buckets"]
-        assert set(ran[2:]) == {"masks"}
+        assert ran and set(ran) == {"masks"}
 
     def test_wide_search_peak_stays_small(self):
         # The k = 3, girth-10 seed-1 graph (m = 4608, 72 words against
