@@ -29,7 +29,9 @@ from .pipeline import (
     build_counterexample,
     canonical_json,
     certify_graph,
+    check_color_counts,
     conjecture2_sweep,
+    usage_cap,
 )
 from .solver import (
     StrongColoring,
@@ -173,9 +175,13 @@ def _cmd_solve(args) -> int:
     code = EXIT_OK
     if args.greedy:
         phi = greedy_color(cg)
+        check_color_counts(graph, {"greedy bound": phi.n_colors})
         print(f"greedy: {phi.n_colors} colors on {cg.n_nodes} edges")
     else:
         outcome = exact_chi_s(cg, budget_ms=args.budget_ms, node_budget=args.node_budget)
+        check_color_counts(
+            graph, {"exact value": outcome.chi_s, "upper bound": outcome.upper_bound}
+        )
         phi = outcome.coloring
         if outcome.status == "exact":
             print(f"exact: chi_s = {outcome.chi_s} ({outcome.nodes} search nodes)")
@@ -234,13 +240,13 @@ def _cmd_conjecture2(args) -> int:
     graph = load_dimacs(args.graph)
     degs = graph.degrees()
     m = graph.n_edges
-    cap = m % (2 * args.k - 1)
     result = min_last_color_usage(
         conflict_graph(graph),
         args.k,
         budget_ms=args.budget_ms,
         node_budget=args.node_budget,
     )
+    cap = usage_cap(graph, args.k, result.usage)
     print(
         f"m={m} cap={cap} usage={result.usage} status={result.status} "
         f"(max degree {max(degs, default=0)})"

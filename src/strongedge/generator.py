@@ -10,6 +10,13 @@ two edges x_l y_h and y_l x_h instead.  Both moves preserve girth >= g, and
 above a parameter floor (:func:`min_n`) the swap edge is guaranteed to
 exist by a counting argument, so construction cannot get stuck.
 
+The distant pair is found from a ball around each low x tried.  Where
+the balls are dense next to the graph (:func:`_dense_balls`, from n, k and
+g alone), a level keeps per left vertex a mask of the right vertices
+within 3 hops, so the step walks 2 layers less and ORs machine words;
+elsewhere it walks the whole ball.  Both ways give the same pair and the
+same draws.
+
 :func:`_build` validates its input once and owns the graph; each level
 lifts it in place.  The girth is measured once per build, on the final
 graph: by :func:`generate`, or by the counterexample pipeline's checks.
@@ -27,7 +34,9 @@ from bisect import bisect_left
 from collections import deque
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import chain
+from operator import or_
 
 from .errors import ConstructionFailedError, InternalInvariantError
 from .graphs import MAX_VERTICES, BipartiteGraph, distances_from, girth
@@ -144,6 +153,31 @@ class GeneratorTrace:
         return "\n".join(lines) + "\n"
 
 
+# Most left vertices a level keeps 3-hop masks for.  The masks of a level
+# hold about n^2 / 4 bytes (two masks of n bits per left vertex), 4.3 MB
+# here; the cubic girth-12 build (n = 6144) stays on the plain walk.
+MASK_CAP = 4096
+
+
+def _dense_balls(n: int, k: int, g: int) -> bool:
+    """True when the low-pair step of a degree-k level on n left vertices
+    runs on 3-hop masks.  A mask operation costs O(n/64) words, so masks
+    pay where the ball, of radius r = (g-3) | 1, is large next to n: r >= 5
+    and n <= 64 (k-1)^(r-1), the point past which a plain walk was measured
+    faster at k = 3, r = 5.  At r = 3 the walk is as short as the mask
+    step.  Above :data:`MASK_CAP` the masks would take too much memory."""
+    r = (g - 3) | 1
+    return r >= 5 and n <= MASK_CAP and n <= 64 * (k - 1) ** (r - 1)
+
+
+def _mask(vertices, offset: int) -> int:
+    """The integer with bit v - offset set for each v in ``vertices``."""
+    mask = 0
+    for v in vertices:
+        mask |= 1 << (v - offset)
+    return mask
+
+
 @dataclass
 class AugmentState:
     """Bookkeeping for one degree-raising level.
@@ -154,7 +188,14 @@ class AugmentState:
     lists of the vertices of each side still at degree k-1 and satisfy
     |x_low| == |y_low| throughout.  Being sorted, they are the sequences
     the seeded draws run on, with no sort per step.  The set ``low_ys``
-    mirrors ``y_low``; only :meth:`_raise_low` changes either after set-up.
+    mirrors ``y_low``.
+
+    Where :func:`_dense_balls` holds, the level also keeps masks over the
+    right side, bit y - n_left for right vertex y: ``rows[x]`` holds the
+    neighbors of left vertex x, ``near3[x]`` the right vertices within 3
+    hops of it, and ``low_mask`` mirrors ``y_low``; elsewhere ``near3`` is
+    None.  After set-up, every edge of the level goes in or out through
+    :meth:`link`, which keeps all of these exact.
     """
 
     graph: BipartiteGraph
@@ -164,6 +205,9 @@ class AugmentState:
     x_low: list[int] = field(default_factory=list)
     y_low: list[int] = field(default_factory=list)
     low_ys: set[int] = field(default_factory=set)
+    rows: list[int] = field(default_factory=list)
+    near3: list[int] | None = None
+    low_mask: int = 0
 
     @classmethod
     def from_graph(cls, graph: BipartiteGraph, k: int, girth_target: int) -> "AugmentState":
@@ -183,7 +227,61 @@ class AugmentState:
                 f"|y_low|={len(state.y_low)}"
             )
         state.low_ys.update(state.y_low)
+        if _dense_balls(n_left, k, girth_target):
+            state.rows = [_mask(adj[x], n_left) for x in range(n_left)]
+            state.near3 = [state._near3_of(x) for x in range(n_left)]
+            state.low_mask = _mask(state.y_low, n_left)
         return state
+
+    def link(self, x_l: int, y_l: int, high: tuple[int, int] | None = None) -> None:
+        """Raise the low pair (x_l, y_l) to degree k: add the edge x_l y_l,
+        or, given an added edge ``high`` = (x_h, y_h), replace it by x_l y_h
+        and x_h y_l.  Updates the graph, ``added``, the low sets and the
+        masks; checks neither girth nor distance."""
+        graph, added = self.graph, self.added
+        if high is None:
+            graph.add_edge(x_l, y_l)
+            added[x_l, y_l] = None
+        else:
+            x_h, y_h = high
+            graph.remove_edge(x_h, y_h)
+            del added[x_h, y_h]
+            graph.add_edge(x_l, y_h)
+            graph.add_edge(y_l, x_h)
+            added[x_l, y_h] = None
+            added[x_h, y_l] = None
+        self._raise_low(x_l, y_l)
+        if self.near3 is None:
+            return
+        adj, rows, near3 = graph._adj, self.rows, self.near3
+        if high is None:
+            # a pair newly within 3 hops has a shortest path through x_l y_l:
+            # x_l and a right within 2 hops of y_l, a neighbor of y_l and one
+            # of x_l, or a left within 2 hops of x_l and y_l
+            bit = 1 << (y_l - graph.n_left)
+            rows[x_l] |= bit
+            for a in adj[y_l]:
+                near3[x_l] |= rows[a]
+                near3[a] |= rows[x_l]
+            for b in adj[x_l]:
+                for a in adj[b]:
+                    near3[a] |= bit
+        else:
+            # a left whose 3-hop set changes is within 2 hops of x_h before
+            # the swap, or of x_h or x_l after it; the first kind are of the
+            # second, since the only neighbor x_h loses, y_h, joins x_l
+            rows[x_h] = _mask(adj[x_h], graph.n_left)
+            rows[x_l] = _mask(adj[x_l], graph.n_left)
+            for a in {*_ball_lefts(graph, x_h, 2), *_ball_lefts(graph, x_l, 2)}:
+                near3[a] = self._near3_of(a)
+
+    def _near3_of(self, x: int) -> int:
+        adj, rows = self.graph._adj, self.rows
+        near = 0
+        for b in adj[x]:
+            for a in adj[b]:
+                near |= rows[a]
+        return near
 
     def _raise_low(self, x: int, y: int) -> None:
         xs, ys = self.x_low, self.y_low
@@ -192,6 +290,8 @@ class AugmentState:
             raise InternalInvariantError(f"({x}, {y}) is not a pair of low vertices")
         del xs[i], ys[j]
         self.low_ys.remove(y)
+        if self.near3 is not None:
+            self.low_mask ^= 1 << (y - self.graph.n_left)
 
 
 def _below(rng: random.Random, n: int) -> int:
@@ -249,46 +349,83 @@ def _edge_keeps_girth(graph: BipartiteGraph, u: int, v: int, girth_target: int) 
     return True
 
 
+def _ball_lefts(graph: BipartiteGraph, x: int, depth: int) -> list[int]:
+    """The left vertices within ``depth`` hops of left vertex x, x first,
+    by a layered BFS."""
+    adj = graph._adj
+    seen = bytearray(graph.n_vertices)
+    seen[x] = 1
+    layer = [x]
+    lefts = [x]
+    for d in range(1, depth + 1):
+        reached = []
+        for u in layer:
+            for w in adj[u]:
+                if not seen[w]:
+                    seen[w] = 1
+                    reached.append(w)
+        if not d & 1:
+            lefts += reached
+        layer = reached
+    return lefts
+
+
+def _far_y(ys: list[int], near: int, n_left: int, i: int) -> int:
+    """The i-th y of the sorted ``ys`` (from 0) whose bit y - n_left is not
+    set in ``near``, where ``near`` holds bits of ys only.  A binary search
+    on the index j, by the count of near ys up to ys[j]: the answer lies
+    between ys[i] and ys[i + |near|]."""
+    lo, hi = i, i + near.bit_count()
+    while lo < hi:
+        mid = (lo + hi) >> 1
+        if mid - (near & ((2 << (ys[mid] - n_left)) - 1)).bit_count() >= i:
+            hi = mid
+        else:
+            lo = mid + 1
+    return ys[lo]
+
+
 def find_distant_low_pair(state: AugmentState, rng: random.Random) -> tuple[int, int] | None:
     """Some low pair (x_l, y_l) at distance >= g-1, or None if none exists.
 
     Low xs are tried in a seeded random order, each drawn only when it is
-    tried, so a step whose first x hits draws no other x.  For each x_l a
-    layered BFS walks its ball, of radius r = (g-3) | 1, to depth r-1 only;
-    the near low ys are ``state.low_ys`` met with the neighbors of the left
-    vertices it reached, in one C-level pass.  A uniformly random low y
-    outside the ball is taken with one draw below their number, mapped to
-    the y by walking the sorted near ones.  Any vertex not reached within
-    g-2 hops is at distance >= g-1, which is exactly the admission
+    tried, so a step whose first x hits draws no other x.  For each x_l the
+    near low ys are those within its ball of radius r = (g-3) | 1, and a
+    uniformly random low y outside the ball is taken with one draw below
+    their number, in the sorted order of ``y_low``.  Any vertex not reached
+    within g-2 hops is at distance >= g-1, which is exactly the admission
     threshold.  r is the largest odd depth <= g-2: the graph is bipartite,
-    so every y lies at odd distance from x, next to a left vertex at depth
-    at most r-1, and when g-2 is even no y lies at depth g-2.
+    so every y lies at odd distance from x, and when g-2 is even no y lies
+    at depth g-2.
+
+    The ball is found one of two ways, with the same pair and the same
+    draws.  Without masks, a layered BFS walks to depth r-1, and the near
+    low ys are ``state.low_ys`` met with the neighbors of the left vertices
+    it reached, in one C-level pass; the drawn index is mapped to a y by
+    walking the sorted near ones.  With masks (``state.near3``), the BFS
+    stops at depth r-3 and the ball is the union of the ``near3`` masks of
+    the left vertices it reached: a y at distance d <= r lies within 3 hops
+    of the left vertex at distance max(0, d-3) on a shortest path.  The
+    near low ys are that union met with ``low_mask``, and the drawn index
+    is mapped to a y by a binary search on their bit counts.
     """
-    adj = state.graph._adj
-    n_vertices = state.graph.n_vertices
-    ys = state.y_low
+    graph = state.graph
+    adj, near3, ys = graph._adj, state.near3, state.y_low
     radius = (state.girth_target - 3) | 1
     for x in _shuffled(rng, state.x_low):
-        seen = bytearray(n_vertices)
-        seen[x] = 1
-        layer = [x]
-        lefts = [x]
-        for depth in range(1, radius):
-            reached = []
-            for u in layer:
-                for w in adj[u]:
-                    if not seen[w]:
-                        seen[w] = 1
-                        reached.append(w)
-            if not depth & 1:
-                lefts += reached
-            layer = reached
-        near = sorted(state.low_ys.intersection(chain.from_iterable(map(adj.__getitem__, lefts))))
-        free = len(ys) - len(near)
+        if near3 is None:
+            lefts = _ball_lefts(graph, x, radius - 1)
+            near = sorted(state.low_ys.intersection(chain.from_iterable(map(adj.__getitem__, lefts))))
+            free = len(ys) - len(near)
+        else:
+            near = state.low_mask & reduce(or_, map(near3.__getitem__, _ball_lefts(graph, x, radius - 3)))
+            free = len(ys) - near.bit_count()
         if free:
+            i = _below(rng, free)
+            if near3 is not None:
+                return x, _far_y(ys, near, graph.n_left, i)
             # the i-th low y outside the ball: each near y at or below the
             # current guess pushes it one place up the sorted ys
-            i = _below(rng, free)
             for y in near:
                 if y > ys[i]:
                     break
@@ -331,12 +468,7 @@ def apply_swap(state: AugmentState, x_l: int, y_l: int, x_h: int, y_h: int) -> N
     graph = state.graph
     if (x_h, y_h) not in state.added:
         raise ValueError(f"({x_h}, {y_h}) is not a currently added edge")
-    graph.remove_edge(x_h, y_h)
-    del state.added[x_h, y_h]
-    graph.add_edge(x_l, y_h)
-    graph.add_edge(y_l, x_h)
-    state.added[x_l, y_h] = None
-    state.added[x_h, y_l] = None
+    state.link(x_l, y_l, (x_h, y_h))
     if not _edge_keeps_girth(graph, x_l, y_h, state.girth_target) or not _edge_keeps_girth(
         graph, x_h, y_l, state.girth_target
     ):
@@ -344,7 +476,6 @@ def apply_swap(state: AugmentState, x_l: int, y_l: int, x_h: int, y_h: int) -> N
             f"girth dropped below {state.girth_target} after swapping out "
             f"({x_h}, {y_h}) for ({x_l}, {y_h}) and ({y_l}, {x_h})"
         )
-    state._raise_low(x_l, y_l)
     if graph.degree(x_h) != state.k or graph.degree(y_h) != state.k:
         raise InternalInvariantError(f"swap changed the degree of ({x_h}, {y_h})")
 
@@ -361,9 +492,7 @@ def _raise_degree(graph: BipartiteGraph, k: int, girth_target: int, rng: random.
         pair = find_distant_low_pair(state, rng)
         if pair is not None:
             x_l, y_l = pair
-            graph.add_edge(x_l, y_l)
-            state.added[x_l, y_l] = None
-            state._raise_low(x_l, y_l)
+            state.link(x_l, y_l)
             steps.append(AddStep(x_l, y_l))
         else:
             x_l = state.x_low[_below(rng, len(state.x_low))]

@@ -236,6 +236,39 @@ def certify_graph(path: str | Path, k: int) -> CounterexampleRecord:
     return _certify(graph, k, None, raw, seed=None, graph_path=str(path))
 
 
+def usage_cap(graph: SimpleGraph, k: int, usage: int | None) -> int:
+    """The cap m mod (2k-1) on the last color's usage, with ``usage`` held
+    to it.  On a k-regular graph each of the other 2k-1 classes holds at
+    most m // (2k-1) edges, m - cap between them, so every usage is at
+    least the cap, and one below it raises :class:`InternalInvariantError`.
+    On any other graph the cap bounds nothing."""
+    m = graph.n_edges
+    cap = m % (2 * k - 1)
+    if usage is not None and usage < cap and graph.is_regular(k):
+        raise InternalInvariantError(
+            f"usage {usage} on {m} edges is below m mod (2k-1) = {cap}"
+        )
+    return cap
+
+
+def check_color_counts(graph: SimpleGraph, counts: dict[str, int | None]) -> None:
+    """Hold the color counts claimed for ``graph``, by name, to the counting
+    certificate: on a k-regular graph with k >= 2 every strong
+    edge-coloring has at least ``chi_s_lower`` colors, so a count below it
+    raises :class:`InternalInvariantError`.  Other graphs pass."""
+    degrees = graph.degrees()
+    k = degrees[0] if degrees else 0
+    if k < 2 or not graph.is_regular(k):
+        return
+    lower = counting_certificate(graph, k).chi_s_lower
+    for name, count in counts.items():
+        if count is not None and count < lower:
+            raise InternalInvariantError(
+                f"{name} {count} is below chi_s_lower = {lower} on this "
+                f"{k}-regular graph"
+            )
+
+
 def conjecture2_sweep(
     k: int,
     g: int,
@@ -252,10 +285,8 @@ def conjecture2_sweep(
 
     Instance i uses side size n_start + i (default floor: min_n) and seed
     seed + i, so caps vary across the sweep.  Rows are computed one after
-    another in n order.  The graphs are k-regular, so each of the other
-    2k-1 classes holds at most m // (2k-1) edges, m - cap between them, and
-    every usage is at least the cap; a usage below it raises
-    :class:`InternalInvariantError`.
+    another in n order.  The graphs are k-regular, so every usage is held
+    to the cap by :func:`usage_cap`.
     """
     if count < 1:
         raise ValueError(f"instance count must be >= 1, got {count}")
@@ -266,22 +297,17 @@ def conjecture2_sweep(
     for i in range(count):
         n, inst_seed = n_start + i, seed + i
         graph, _ = generate(k, g, n, inst_seed, force=force)
-        m = graph.n_edges
-        cap = m % (2 * k - 1)
         result = min_last_color_usage(
             conflict_graph(graph), k, budget_ms=budget_ms, node_budget=node_budget
         )
-        if result.usage is not None and result.usage < cap:
-            raise InternalInvariantError(
-                f"usage {result.usage} at n={n} is below m mod (2k-1) = {cap}"
-            )
+        cap = usage_cap(graph, k, result.usage)
         rows.append(
             Conjecture2Row(
                 k=k,
                 g=g,
                 n=n,
                 seed=inst_seed,
-                m=m,
+                m=graph.n_edges,
                 cap=cap,
                 usage=result.usage,
                 status=result.status,

@@ -377,7 +377,8 @@ def reference_generate(
 ) -> tuple[BipartiteGraph, GeneratorTrace]:
     """Reference build: the levels 3..k of ``strongedge.generate`` from the
     base cycle with the reference steps above, the package's
-    :class:`AugmentState` and :func:`apply_swap`, and one final girth check.
+    :class:`AugmentState` (edges go in through its ``link``) and
+    :func:`apply_swap`, and one final girth check.
     Takes no input checks; give it parameters ``generate`` accepts."""
     rng = random.Random(seed)
     graph = base_cycle(n)
@@ -389,9 +390,7 @@ def reference_generate(
                 pair = scan_distant_low_pair(state, rng, draws)
                 if pair is not None:
                     x_l, y_l = pair
-                    graph.add_edge(x_l, y_l)
-                    state.added[x_l, y_l] = None
-                    state._raise_low(x_l, y_l)
+                    state.link(x_l, y_l)
                     steps.append(AddStep(x_l, y_l))
                 else:
                     x_l = draws.pick(rng, state.x_low)

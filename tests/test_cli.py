@@ -5,7 +5,17 @@ import sys
 
 import pytest
 
-from strongedge import choose_n, generate, girth, load_dimacs, save_dimacs
+from strongedge import (
+    InternalInvariantError,
+    MinLastUsageResult,
+    SolveOutcome,
+    StrongColoring,
+    choose_n,
+    generate,
+    girth,
+    load_dimacs,
+    save_dimacs,
+)
 from strongedge.cli import main
 from _helpers import bipartite_cycle, cli_env, cycle_graph, heawood_graph, path_graph
 
@@ -192,7 +202,71 @@ class TestCertifyCommand:
         assert "invalid input" in capsys.readouterr().err
 
 
+@pytest.fixture
+def cubic_g5(tmp_path):
+    """The k = 3, g = 5, seed-1 graph: m = 144, so chi_s_lower = 6 and the
+    usage cap is 144 mod 5 = 4."""
+    path = tmp_path / "g5.dimacs"
+    save_dimacs(path, generate(3, 5, choose_n(3, 5), 1)[0])
+    return path
+
+
+class TestSolveHeldToTheCertificate:
+    @pytest.mark.parametrize(
+        "outcome, name",
+        [
+            (SolveOutcome("exact", 5, None, 5, 5, 10), "exact value"),
+            (SolveOutcome("upper-bound-only", None, None, 4, 5, 10), "upper bound"),
+        ],
+    )
+    def test_search_answer_below_the_certificate_is_a_bug(
+        self, monkeypatch, capsys, cubic_g5, outcome, name
+    ):
+        monkeypatch.setattr("strongedge.cli.exact_chi_s", lambda cg, **budgets: outcome)
+        with pytest.raises(InternalInvariantError, match=f"{name} 5 is below chi_s_lower = 6"):
+            run("solve", cubic_g5)
+        assert capsys.readouterr().out == ""
+
+    def test_greedy_below_the_certificate_is_a_bug(self, monkeypatch, cubic_g5):
+        monkeypatch.setattr(
+            "strongedge.cli.greedy_color", lambda cg: StrongColoring([1, 2, 3, 4, 5] * 28 + [1] * 4)
+        )
+        with pytest.raises(InternalInvariantError, match="greedy bound 5 is below"):
+            run("solve", cubic_g5, "--greedy")
+
+    def test_irregular_graph_has_no_certificate_to_break(self, monkeypatch, tmp_path, capsys):
+        path = tmp_path / "p5.dimacs"
+        save_dimacs(path, path_graph(5))
+        monkeypatch.setattr(
+            "strongedge.cli.exact_chi_s",
+            lambda cg, **budgets: SolveOutcome("exact", 1, None, 1, 1, 0),
+        )
+        assert run("solve", path) == 0
+        assert "chi_s = 1" in capsys.readouterr().out
+
+
 class TestConjecture2Commands:
+    def test_usage_below_the_cap_on_a_regular_graph_is_a_bug(self, monkeypatch, cubic_g5):
+        monkeypatch.setattr(
+            "strongedge.cli.min_last_color_usage",
+            lambda cg, k, **budgets: MinLastUsageResult("exact", 0, None, 0),
+        )
+        with pytest.raises(InternalInvariantError, match="usage 0 on 144 edges is below m mod"):
+            run("conjecture2", cubic_g5, "--k", 3)
+
+    def test_usage_below_the_cap_off_a_regular_graph_is_reported(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        # P5 has m = 4, cap 1 at k = 2, but is not 2-regular: no bound holds
+        path = tmp_path / "p5.dimacs"
+        save_dimacs(path, path_graph(5))
+        monkeypatch.setattr(
+            "strongedge.cli.min_last_color_usage",
+            lambda cg, k, **budgets: MinLastUsageResult("exact", 0, None, 0),
+        )
+        assert run("conjecture2", path, "--k", 2) == 0
+        assert "cap=1 usage=0 status=exact" in capsys.readouterr().out
+
     def test_single_graph_usage(self, tmp_path, capsys):
         path = tmp_path / "c12.dimacs"
         save_dimacs(path, bipartite_cycle(6))

@@ -1,9 +1,14 @@
 import ast
+import gc
 import inspect
 import itertools
 import random
 import re
+import tracemalloc
 from collections import Counter
+from functools import reduce
+from itertools import compress
+from operator import or_
 
 import pytest
 
@@ -25,7 +30,7 @@ from strongedge import (
     min_n,
 )
 import strongedge.generator
-from strongedge.generator import _below, _raise_degree, _shuffled
+from strongedge.generator import MASK_CAP, _below, _dense_balls, _far_y, _raise_degree, _shuffled
 from strongedge.graphs import MAX_VERTICES
 from _helpers import below, front_run, reference_generate, replay_trace, scan_distant_low_pair
 
@@ -155,7 +160,7 @@ class TestLowPairEquivalence:
             pair = find_distant_low_pair(state, rng)
             assert pair == expected
             assert rng.getstate() == reference.getstate()
-            seen.append((state.k, pair is not None))
+            seen.append((state.k, pair is not None, state.near3 is not None))
             return pair
 
         monkeypatch.setattr("strongedge.generator.find_distant_low_pair", checked)
@@ -177,7 +182,9 @@ class TestLowPairEquivalence:
     def test_cubic(self, outcomes, g):
         generate(3, g, choose_n(3, g), seed=g)
         self.forced_builds(3, g)
-        assert {hit for _, hit in outcomes} == {True, False}
+        assert {hit for _, hit, _ in outcomes} == {True, False}
+        # both ways of finding the ball are held to the scan
+        assert {masks for *_, masks in outcomes} == {g >= 7}
 
     @pytest.mark.parametrize("g", range(3, 10))
     def test_quartic(self, outcomes, g):
@@ -190,7 +197,8 @@ class TestLowPairEquivalence:
             except InternalInvariantError:
                 pass
         self.forced_builds(4, g)
-        assert {hit for k, hit in outcomes if k == 4} == {True, False}
+        assert {hit for k, hit, _ in outcomes if k == 4} == {True, False}
+        assert {masks for k, _, masks in outcomes if k == 4} == {g >= 7}
 
     @pytest.mark.parametrize("n, g", [(3, 3), (8, 5), (4, 5), (6, 7), (5, 9), (8, 20)])
     def test_base_cycle(self, n, g):
@@ -221,6 +229,163 @@ class TestLowPairEquivalence:
             rng, reference = random.Random(seed), random.Random(seed)
             assert find_distant_low_pair(state, rng) == scan_distant_low_pair(state, reference)
             assert rng.getstate() == reference.getstate()
+
+
+def masks_from_graph(graph, k):
+    """The rows, 3-hop and low masks of a level raising ``graph`` to degree
+    k, recomputed from its adjacency: the right vertices within 2 hops of
+    each right one first, then their union over a left vertex's
+    neighbors."""
+    adj, n_left = graph._adj, graph.n_left
+    bit = [0] * n_left + [1 << i for i in range(graph.n_right)]  # bit[y] for right y
+    rows = [sum(map(bit.__getitem__, adj[x])) for x in range(n_left)]
+    two = [0] * n_left + [reduce(or_, map(rows.__getitem__, adj[y])) for y in range(n_left, graph.n_vertices)]
+    near3 = [reduce(or_, map(two.__getitem__, adj[x])) for x in range(n_left)]
+    low = sum(compress(bit[n_left:], [len(a) == k - 1 for a in adj[n_left:]]))
+    return rows, near3, low
+
+
+class TestMasks:
+    """The masks a level keeps where its balls are dense stay equal to ones
+    recomputed from the graph after every step, adds and swaps alike."""
+
+    @pytest.fixture
+    def checked_steps(self, monkeypatch):
+        """Compare a masked state with masks recomputed from its graph after
+        set-up and after every step, and count the steps checked by kind.
+        Every mask is compared at set-up, after the last step of a level and
+        after every ``every["full"]``-th step; after the other steps, the
+        low mask and the masks of the left vertices within 4 hops of the
+        step's vertices, a superset of those its edges can change."""
+        counts = Counter()
+        every = {"full": 1}
+        from_graph, link = AugmentState.from_graph.__func__, AugmentState.link
+
+        def check(state, touched=None):
+            if state.near3 is None:
+                return
+            if touched is None or not state.x_low or counts["steps"] % every["full"] == 0:
+                rows, near3, low = masks_from_graph(state.graph, state.k)
+                assert state.rows == rows
+                assert state.near3 == near3
+                assert state.low_mask == low
+                return
+            adj, n_left = state.graph._adj, state.graph.n_left
+            assert state.low_mask == sum(1 << (y - n_left) for y in state.y_low)
+            dist = distances_from(state.graph, touched, 4)
+            for x in range(n_left):
+                if dist[x] >= 0:
+                    within3 = {y for b in adj[x] for a in adj[b] for y in adj[a]}
+                    assert state.rows[x] == sum(1 << (y - n_left) for y in adj[x]), x
+                    assert state.near3[x] == sum(1 << (y - n_left) for y in within3), x
+
+        def checked_from_graph(cls, graph, k, girth_target):
+            state = from_graph(cls, graph, k, girth_target)
+            check(state)
+            counts["levels", state.near3 is not None] += 1
+            return state
+
+        def checked_link(state, x_l, y_l, high=None):
+            link(state, x_l, y_l, high)
+            counts["steps"] += 1
+            check(state, [x_l, y_l, *(high or ())])
+            counts["swap" if high else "add", state.near3 is not None] += 1
+
+        monkeypatch.setattr(AugmentState, "from_graph", classmethod(checked_from_graph))
+        monkeypatch.setattr(AugmentState, "link", checked_link)
+        counts.every = every
+        return counts
+
+    def test_forced_quartic_builds(self, checked_steps):
+        failed = 0
+        for n in (130, 200):
+            for seed in range(12):
+                try:
+                    generate(4, 7, n, seed, force=True)
+                except ConstructionFailedError:
+                    failed += 1
+        assert 0 < failed < 24
+        assert checked_steps["swap", True] > 0 and checked_steps["add", True] > 0
+        assert checked_steps["levels", True] > 24 and not checked_steps["levels", False]
+
+    @pytest.mark.parametrize("g", range(7, 11))
+    def test_cubic_floor_builds(self, checked_steps, g):
+        # every mask after every step up to n = 384; above that, in full
+        # after every 32nd step
+        checked_steps.every["full"] = 1 if g <= 8 else 32
+        generate(3, g, choose_n(3, g), seed=1)
+        assert checked_steps["add", True] > 0
+        assert not checked_steps["levels", False]
+
+    @pytest.mark.parametrize(
+        "k, g, n, masks",
+        [
+            # ladder: counterexample(g) at choose_n(3, g)
+            *((3, g, choose_n(3, g), g >= 7) for g in range(5, 11)),
+            # quartic: counterexamples at g = 5, 6 (both levels), forced builds
+            *((level, g, choose_n(4, g), False) for level in (3, 4) for g in (5, 6)),
+            *((level, 7, n, True) for level in (3, 4) for n in (130, 200)),
+            # search: the girth-4 sweeps, from the floor and forced from n = 10
+            *((3, 4, n, False) for n in (10, 13, 24, 27)),
+            # the g = 11 build keeps masks; the g = 12 one is above the cap
+            (3, 11, choose_n(3, 11), True),
+            (3, 12, choose_n(3, 12), False),
+        ],
+    )
+    def test_paths_of_benchmark_builds(self, k, g, n, masks):
+        assert _dense_balls(n, k, g) is masks
+
+    def test_rule_reads_the_cap_and_the_radius(self):
+        assert _dense_balls(MASK_CAP, 3, 11) and not _dense_balls(MASK_CAP + 1, 3, 11)
+        assert not _dense_balls(MASK_CAP + 1, 6, 20)
+        # r = 3: g = 5 and 6 walk at every size
+        assert not any(_dense_balls(n, k, g) for n in (10, 100, 1000) for k in (3, 6) for g in (5, 6))
+        # k = 3, r = 5 (g = 7, 8): masks up to 64 * 2^4 left vertices
+        assert _dense_balls(1024, 3, 8) and not _dense_balls(1025, 3, 7)
+        # k = 3, r = 7 and k = 4, r = 5: the cap binds first
+        assert _dense_balls(MASK_CAP, 3, 9) and _dense_balls(MASK_CAP, 4, 7)
+        # the largest power the rule meets: k and g as large as n = cap allows
+        assert _dense_balls(MASK_CAP, MASK_CAP, 2 * MASK_CAP)
+
+    def test_far_y_matches_a_scan(self):
+        rng = random.Random(7)
+        for _ in range(3000):
+            n_left = rng.randrange(1, 200)
+            ys = sorted(rng.sample(range(n_left, 2 * n_left), rng.randrange(1, n_left + 1)))
+            near_ys = [y for y in ys if rng.random() < rng.random()]
+            far = [y for y in ys if y not in near_ys]
+            if not far:
+                continue
+            near = sum(1 << (y - n_left) for y in near_ys)
+            i = rng.randrange(len(far))
+            assert _far_y(ys, near, n_left, i) == far[i]
+
+
+class TestBuildMemory:
+    """A build's traced peak per vertex, against what the build takes without
+    masks: no structure quadratic in n may reach sizes above the mask cap,
+    and at the cap the masks add at most n/8 bytes a vertex (two masks of n
+    bits per left vertex)."""
+
+    @staticmethod
+    def peak_per_vertex(k, g, n, force):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            generate(k, g, n, 1, force=force)
+            return tracemalloc.get_traced_memory()[1] / (2 * n)
+        finally:
+            tracemalloc.stop()
+
+    def test_far_above_the_floor_on_the_walk(self):
+        # 457 B a vertex before the masks existed; masks would add 1,500
+        assert not _dense_balls(12_000, 3, 5)
+        assert self.peak_per_vertex(3, 5, 12_000, True) < 480
+
+    def test_at_the_mask_cap(self):
+        # 458 B a vertex on the walk alone
+        assert _dense_balls(MASK_CAP, 3, 9)
+        assert self.peak_per_vertex(3, 9, MASK_CAP, False) < 480 + MASK_CAP / 8
 
 
 class TestReferenceBuild:
@@ -372,9 +537,7 @@ class TestSwap:
         near = (2, 12 + 5)  # both endpoints near (3, 16)
         far = (8, 12 + 11)
         for u, v in (near, far):
-            graph.add_edge(u, v)
-            state.added[u, v] = None
-            state._raise_low(u, v)
+            state.link(u, v)
         return graph, state, near, far
 
     def test_exactly_one_far_edge_is_found(self):
