@@ -194,8 +194,12 @@ class AugmentState:
     right side, bit y - n_left for right vertex y: ``rows[x]`` holds the
     neighbors of left vertex x, ``near3[x]`` the right vertices within 3
     hops of it, and ``low_mask`` mirrors ``y_low``; elsewhere ``near3`` is
-    None.  After set-up, every edge of the level goes in or out through
-    :meth:`link`, which keeps all of these exact.
+    None.  Every query masks ``rows`` and ``near3`` with ``low_mask``, so
+    only their bits of low ys are kept exact.  ``rows`` never change: a
+    step's edges meet only y_l, which leaves the low set, and the high y_h.
+    After set-up, every edge of the level goes in or out through
+    :meth:`link`, which keeps ``low_mask`` exact and ``near3`` exact on the
+    low ys.
     """
 
     graph: BipartiteGraph
@@ -236,8 +240,9 @@ class AugmentState:
     def link(self, x_l: int, y_l: int, high: tuple[int, int] | None = None) -> None:
         """Raise the low pair (x_l, y_l) to degree k: add the edge x_l y_l,
         or, given an added edge ``high`` = (x_h, y_h), replace it by x_l y_h
-        and x_h y_l.  Updates the graph, ``added``, the low sets and the
-        masks; checks neither girth nor distance."""
+        and x_h y_l.  Updates the graph, ``added``, the low sets and
+        ``near3``, which :class:`AugmentState` keeps exact on the low ys;
+        checks neither girth nor distance."""
         graph, added = self.graph, self.added
         if high is None:
             graph.add_edge(x_l, y_l)
@@ -255,24 +260,16 @@ class AugmentState:
             return
         adj, rows, near3 = graph._adj, self.rows, self.near3
         if high is None:
-            # a pair newly within 3 hops has a shortest path through x_l y_l:
-            # x_l and a right within 2 hops of y_l, a neighbor of y_l and one
-            # of x_l, or a left within 2 hops of x_l and y_l
-            bit = 1 << (y_l - graph.n_left)
-            rows[x_l] |= bit
+            # a path of at most 3 hops from a left to a low y over the new
+            # edge does not end at y_l, which is no longer low: it is
+            # x_l y_l a y or a y_l x_l y, with a next to y_l
             for a in adj[y_l]:
                 near3[x_l] |= rows[a]
                 near3[a] |= rows[x_l]
-            for b in adj[x_l]:
-                for a in adj[b]:
-                    near3[a] |= bit
         else:
-            # a left whose 3-hop set changes is within 2 hops of x_h before
-            # the swap, or of x_h or x_l after it; the first kind are of the
-            # second, since the only neighbor x_h loses, y_h, joins x_l
-            rows[x_h] = _mask(adj[x_h], graph.n_left)
-            rows[x_l] = _mask(adj[x_l], graph.n_left)
-            for a in {*_ball_lefts(graph, x_h, 2), *_ball_lefts(graph, x_l, 2)}:
+            # a left whose path to a low y, of at most 3 hops, gains or loses
+            # one of the swap's edges is next to y_h or y_l after the swap
+            for a in {*adj[y_l], *adj[y_h]}:
                 near3[a] = self._near3_of(a)
 
     def _near3_of(self, x: int) -> int:

@@ -318,21 +318,20 @@ def _bucket_kernel(cg: ConflictGraph, palette: int, special_cap: int | None,
             while stack:
                 v, untried, touched, used, left_before, saved = frame = stack[-1]
                 bit = 1 << (colors[v] - 1)
-                if bit != special_bit or special_left > 0:
-                    for w in touched:
-                        forbid[w] ^= bit
-                        e = entry[w]
-                        k = key[w]
-                        buckets[k].remove(e)
-                        k -= 1
-                        buckets[k].add(e)
-                        key[w] = k
-                    special_left = left_before
-                else:
-                    for w in touched:
-                        forbid[w] ^= bit
+                if bit == special_bit and not special_left:
+                    # the special color comes back: re-key with it counted,
+                    # then undo this frame's touches as for any color
                     special_left = left_before
                     rekey_special_neighbors()
+                for w in touched:
+                    forbid[w] ^= bit
+                    e = entry[w]
+                    k = key[w]
+                    buckets[k].remove(e)
+                    k -= 1
+                    buckets[k].add(e)
+                    key[w] = k
+                special_left = left_before
                 if untried:
                     break
                 stack.pop()
@@ -353,24 +352,20 @@ def _bucket_kernel(cg: ConflictGraph, palette: int, special_cap: int | None,
         elif c == used + 1:
             used += 1
         touched = []
-        if bit != special_bit or special_left > 0:
-            for w in adj[v]:
-                if not forbid[w] & bit:
-                    forbid[w] |= bit
-                    touched.append(w)
-                    e = entry[w]
-                    k = key[w]
-                    buckets[k].remove(e)
-                    k += 1
-                    buckets[k].add(e)
-                    key[w] = k
-            if touched:
-                top += 1
-        else:
-            for w in adj[v]:
-                if not forbid[w] & bit:
-                    forbid[w] |= bit
-                    touched.append(w)
+        for w in adj[v]:
+            if not forbid[w] & bit:
+                forbid[w] |= bit
+                touched.append(w)
+                e = entry[w]
+                k = key[w]
+                buckets[k].remove(e)
+                k += 1
+                buckets[k].add(e)
+                key[w] = k
+        if touched:
+            top += 1
+        if bit == special_bit and not special_left:
+            # the special color ran out: the keys counted it, so re-key
             rekey_special_neighbors()
         frame[1] = untried ^ bit
         frame[2] = touched

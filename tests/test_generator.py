@@ -28,6 +28,7 @@ from strongedge import (
     generate,
     girth,
     min_n,
+    serialize_dimacs,
 )
 import strongedge.generator
 from strongedge.generator import MASK_CAP, _below, _dense_balls, _far_y, _raise_degree, _shuffled
@@ -200,6 +201,42 @@ class TestLowPairEquivalence:
         assert {hit for k, hit, _ in outcomes if k == 4} == {True, False}
         assert {masks for k, _, masks in outcomes if k == 4} == {g >= 7}
 
+    def test_both_paths_build_the_same(self, monkeypatch):
+        # every build of the grid run once on the walk and once on masks
+        # wherever r >= 3 and n <= MASK_CAP: the same graph and trace, or
+        # the same failure
+        grid = [(4, 7, n, seed) for n in (130, 200) for seed in range(6)]
+        grid += [
+            (3, g, n, seed)
+            for g in range(5, 10)
+            for n in (min_n(3, g) // 4, min_n(3, g) // 2, choose_n(3, g))
+            for seed in range(3)
+        ]
+        grid += [(5, 7, n, seed) for n in (60, 150) for seed in range(2)]
+
+        def outcome(k, g, n, seed):
+            try:
+                graph, trace = generate(k, g, n, seed, force=True)
+            except ConstructionFailedError as exc:
+                return "failed", str(exc), str(exc.__cause__)
+            return serialize_dimacs(graph), trace.to_text()
+
+        outcomes = {}
+        rules = {
+            "walk": lambda n, k, g: False,
+            "masks": lambda n, k, g: (g - 3) | 1 >= 3 and n <= MASK_CAP,
+        }
+        for name, rule in rules.items():
+            monkeypatch.setattr(strongedge.generator, "_dense_balls", rule)
+            # the rule overrides the real one both ways: walk at g = 9, masks at g = 5
+            for g in (5, 9):
+                assert (AugmentState.from_graph(base_cycle(100), 3, g).near3 is None) == (name == "walk")
+            outcomes[name] = [outcome(*case) for case in grid]
+        assert outcomes["walk"] == outcomes["masks"]
+        failed = sum(first == "failed" for first, *_ in outcomes["walk"])
+        swapped = sum("SWAP" in text for _, text, *_ in outcomes["walk"])
+        assert 0 < failed < len(grid) and swapped > 0
+
     @pytest.mark.parametrize("n, g", [(3, 3), (8, 5), (4, 5), (6, 7), (5, 9), (8, 20)])
     def test_base_cycle(self, n, g):
         # every x of a cycle sees the same ball: all hit, or all miss and
@@ -246,8 +283,11 @@ def masks_from_graph(graph, k):
 
 
 class TestMasks:
-    """The masks a level keeps where its balls are dense stay equal to ones
-    recomputed from the graph after every step, adds and swaps alike."""
+    """The masks a level keeps where its balls are dense stay exact on the
+    low right vertices, which is all a query reads, after every step, adds
+    and swaps alike: the low mask equals one recomputed from the graph, and
+    so do the rows and 3-hop masks once both are masked with it.  The rows
+    keep their set-up values."""
 
     @pytest.fixture
     def checked_steps(self, monkeypatch):
@@ -256,28 +296,34 @@ class TestMasks:
         Every mask is compared at set-up, after the last step of a level and
         after every ``every["full"]``-th step; after the other steps, the
         low mask and the masks of the left vertices within 4 hops of the
-        step's vertices, a superset of those its edges can change."""
+        step's vertices, a superset of those its edges can change.  The rows
+        are compared with their set-up values after every step."""
         counts = Counter()
         every = {"full": 1}
+        set_up_rows = {}
         from_graph, link = AugmentState.from_graph.__func__, AugmentState.link
 
         def check(state, touched=None):
             if state.near3 is None:
                 return
+            if touched is None:
+                set_up_rows[id(state)] = list(state.rows)
+            assert state.rows == set_up_rows[id(state)]
+            low = state.low_mask
             if touched is None or not state.x_low or counts["steps"] % every["full"] == 0:
-                rows, near3, low = masks_from_graph(state.graph, state.k)
-                assert state.rows == rows
-                assert state.near3 == near3
-                assert state.low_mask == low
+                rows, near3, low_now = masks_from_graph(state.graph, state.k)
+                assert low == low_now
+                assert [r & low for r in state.rows] == [r & low for r in rows]
+                assert [a & low for a in state.near3] == [a & low for a in near3]
                 return
             adj, n_left = state.graph._adj, state.graph.n_left
-            assert state.low_mask == sum(1 << (y - n_left) for y in state.y_low)
+            assert low == sum(1 << (y - n_left) for y in state.y_low)
             dist = distances_from(state.graph, touched, 4)
             for x in range(n_left):
                 if dist[x] >= 0:
                     within3 = {y for b in adj[x] for a in adj[b] for y in adj[a]}
-                    assert state.rows[x] == sum(1 << (y - n_left) for y in adj[x]), x
-                    assert state.near3[x] == sum(1 << (y - n_left) for y in within3), x
+                    assert state.rows[x] & low == sum(1 << (y - n_left) for y in adj[x]) & low, x
+                    assert state.near3[x] & low == sum(1 << (y - n_left) for y in within3) & low, x
 
         def checked_from_graph(cls, graph, k, girth_target):
             state = from_graph(cls, graph, k, girth_target)
@@ -307,6 +353,23 @@ class TestMasks:
         assert 0 < failed < 24
         assert checked_steps["swap", True] > 0 and checked_steps["add", True] > 0
         assert checked_steps["levels", True] > 24 and not checked_steps["levels", False]
+
+    def test_swaps_with_low_vertices_left(self, checked_steps):
+        # a build swaps only once few low vertices are left, so its swaps
+        # seldom change a mask on a low y; here half a level is added, then
+        # random added edges are swapped for random low pairs (the masks do
+        # not depend on distances) while many low vertices are left
+        rng = random.Random(3)
+        state = AugmentState.from_graph(base_cycle(130), 3, 7)
+        adj = state.graph._adj
+        while len(state.x_low) > 65:
+            state.link(*find_distant_low_pair(state, rng))
+        while len(state.x_low) > 5:
+            x_l, y_l = rng.choice(state.x_low), rng.choice(state.y_low)
+            x_h, y_h = rng.choice(list(state.added))
+            if y_h not in adj[x_l] and x_h not in adj[y_l]:
+                state.link(x_l, y_l, (x_h, y_h))
+        assert checked_steps["swap", True] == 60
 
     @pytest.mark.parametrize("g", range(7, 11))
     def test_cubic_floor_builds(self, checked_steps, g):

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -40,7 +41,9 @@ from strongedge import (
     greedy_color,
     min_last_color_usage,
     serialize_dimacs,
+    verify,
 )
+from strongedge import pipeline
 from strongedge.pipeline import canonical_json
 from _helpers import cycle_graph, heawood_graph, legacy_generate
 
@@ -550,3 +553,30 @@ def test_last_color_usage_on_forced_builds(n, seed):
 def test_last_color_usage_on_cycles(n):
     res = min_last_color_usage(conflict_graph(cycle_graph(n)), 2)
     assert (res.status, res.usage, res.nodes) == USAGE[n]
+
+
+# generate --k 3 --g 6 --n 15 --seed 0 --force: a flagged usage row at
+# girth 6, exact usage 5 against cap 0, with its graph file committed
+FLAGGED_G6 = Path(__file__).parent / "data" / "k3-g6-n15-seed0.dimacs"
+FLAGGED_G6_SHA = "b2e6af2557da4861d5e238e47d77af82f761ddd3899f4db8f10bcc6fba3d7e36"
+FLAGGED_G6_COLORS = "3fc81525c69afee2a0e0dc5cec9e3fec1772ff4ca80d2a92e2ee940c3c641bc1"
+
+
+def test_flagged_girth_six_usage_row(monkeypatch):
+    graph, _ = generate(3, 6, 15, 0, force=True)
+    text = serialize_dimacs(graph)
+    assert text == FLAGGED_G6.read_text()
+    assert sha256(text) == FLAGGED_G6_SHA
+    searches = []
+
+    def recorded(*args, **kwargs):
+        searches.append(min_last_color_usage(*args, **kwargs))
+        return searches[-1]
+
+    monkeypatch.setattr(pipeline, "min_last_color_usage", recorded)
+    evidence = conjecture2_sweep(3, 6, 1, n_start=15, force=True, node_budget=1_000_000)
+    (row,), (res,) = evidence.rows, searches
+    assert (row.n, row.m, row.cap, row.status, row.usage, res.nodes) == (15, 45, 0, "exact", 5, 515141)
+    assert row.flagged and evidence.flagged_rows() == [row]
+    assert verify(conflict_graph(graph), res.coloring) and res.coloring.usage(6) == 5
+    assert colors_digest(res.coloring.colors) == FLAGGED_G6_COLORS

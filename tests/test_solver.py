@@ -481,9 +481,16 @@ class TestKernelChoice:
     def test_wide_search_peak_stays_small(self):
         # The k = 3, girth-10 seed-1 graph (m = 4608, 72 words against
         # degree 12) stays on buckets, which peak near 1.7 MB here; masks
-        # would hold m-bit copies in every frame.
+        # would hold m-bit copies in every frame.  This is what keeps the
+        # bucket kernel: masks break the bound within 2000 nodes (12.6 MB;
+        # their neighbor masks alone take m^2 / 8 bytes), so this test fails
+        # if buckets are dropped or the width rule is widened to this graph.
         cg = conflict_graph(generate(3, 10, choose_n(3, 10), 1)[0])
         assert cg.n_nodes == 4608
         res, _held, peak = traced(lambda: find_coloring(cg, 7, node_budget=6000))
         assert (res.status, res.nodes) == ("timeout", 6001)
         assert peak < 3_000_000
+        on_masks = lambda: _search_with(_mask_kernel, cg, 7, None, _Budget(node_budget=2000))
+        res, _held, peak = traced(on_masks)
+        assert (res.status, res.nodes) == ("timeout", 2001)
+        assert peak > 3_000_000
