@@ -327,8 +327,6 @@ def _edge_keeps_girth(graph: BipartiteGraph, u: int, v: int, girth_target: int) 
     depth girth_target - 2 decides the question exactly.
     """
     cutoff = girth_target - 2
-    if cutoff < 1:
-        return True
     dist = {u: 0}
     queue = deque([u])
     while queue:

@@ -206,10 +206,14 @@ def girth(g: SimpleGraph) -> int | float:
     and ``parse_dimacs`` keep a :class:`BipartiteGraph` bipartite.
 
     One list holds each vertex's depth in the current BFS, -1 for a vertex
-    it has not reached and -2 for a deleted or peeled one.  The BFS needs
-    no parent array: a neighbor one layer up is skipped, and it is either
-    the parent or a second parent, whose cycle of length 2 * du was counted
-    when its own layer was expanded.
+    it has not reached and -2 for a deleted or peeled one.  Each vertex is
+    doomed at most once, so a peel never meets a deleted vertex: the first
+    doomed list holds the vertices of degree at most 1, a vertex joins a
+    later one only when its degree falls to exactly 1, and a root, doomed
+    only if it survived, is deleted before any neighbor's degree is
+    lowered.  The BFS needs no parent array: a neighbor one layer up is
+    skipped, and it is either the parent or a second parent, whose cycle of
+    length 2 * du was counted when its own layer was expanded.
     """
     best: int | float = INFINITE_GIRTH
     n = g.n_vertices
@@ -222,8 +226,6 @@ def girth(g: SimpleGraph) -> int | float:
         degree drops to 1."""
         while doomed:
             v = doomed.pop()
-            if dist[v] == -2:
-                continue
             dist[v] = -2
             for w in adj[v]:
                 if dist[w] != -2:

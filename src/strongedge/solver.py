@@ -262,7 +262,13 @@ def _bucket_kernel(cg: ConflictGraph, palette: int, special_cap: int | None,
     # `top` is an upper bound on the highest non-empty key: a touch raises
     # keys by one, so `top` rises by one after a touch that moved a node,
     # into the spare empty level on top, and the pick's walk-down lowers
-    # it.  When all conflict degrees are equal, entry[v] == v.
+    # it.  A back-up never lowers `top` and starts at a dead end, where
+    # `top` is at least the legal count.  A node it pops goes back under
+    # the key it had at its pick, which was below its legal count then;
+    # below that pick `used` only grew and the special color left legal at
+    # most once, so the key is at most the dead end's legal count and a pop
+    # never needs to raise `top`.  When all conflict degrees are equal,
+    # entry[v] == v.
     entry, key, buckets = _saturation_buckets(cg.degrees, palette)
     top = 0
 
@@ -336,10 +342,7 @@ def _bucket_kernel(cg: ConflictGraph, palette: int, special_cap: int | None,
                     break
                 stack.pop()
                 forbid[v] = saved
-                k = key[v]
-                buckets[k].add(entry[v])
-                if k > top:
-                    top = k
+                buckets[key[v]].add(entry[v])
             else:
                 status = EXHAUSTED
                 break
@@ -549,23 +552,14 @@ def exact_chi_s(
     lower = _clique_lower_bound(cg)
     best = greedy_color(cg)
     upper = best.n_colors
-    chi: int | None = upper if upper == lower else None
-
-    if chi is None:
-        for c in range(lower, upper):
-            res = _decision_search(cg, c, None, budget)
-            if res.status == FOUND:
-                chi, best = c, res.coloring
-                break
-            if res.status == TIMEOUT:
-                break
-            lower = c + 1  # exhausted search: c colors proven infeasible
-        else:
-            chi = upper  # every count below the greedy bound was refuted
-
-    if chi is not None:
-        return SolveOutcome("exact", chi, best, chi, chi, budget.nodes)
-    return SolveOutcome("upper-bound-only", None, best, lower, upper, budget.nodes)
+    # every count below c lies under the clique bound or was refuted
+    for c in range(lower, upper):
+        res = _decision_search(cg, c, None, budget)
+        if res.status == FOUND:
+            return SolveOutcome("exact", c, res.coloring, c, c, budget.nodes)
+        if res.status == TIMEOUT:
+            return SolveOutcome("upper-bound-only", None, best, c, upper, budget.nodes)
+    return SolveOutcome("exact", upper, best, upper, upper, budget.nodes)
 
 
 def min_last_color_usage(
@@ -596,9 +590,6 @@ def min_last_color_usage(
 
     best = _relabel_minimizing_last(probe.coloring, palette)
     best_usage = best.usage(palette)
-    if best_usage == 0:
-        return MinLastUsageResult("exact", 0, best, budget.nodes)
-
     for t in range(best_usage):
         res = _decision_search(cg, palette, t, budget)
         if res.status == FOUND:
@@ -615,13 +606,12 @@ def min_last_color_usage(
 
 
 def _relabel_minimizing_last(phi: StrongColoring, palette: int) -> StrongColoring:
-    """Swap color labels so the least-used class sits on ``palette``."""
+    """Swap color labels so the least-used class sits on ``palette``; when
+    it already does, the swap maps every color to itself."""
     sizes = phi.class_sizes()
     if palette not in sizes:
         return phi
     smallest = min(sizes, key=lambda c: (sizes[c], -c))
-    if smallest == palette:
-        return phi
     swapped = [
         smallest if c == palette else palette if c == smallest else c
         for c in phi.colors

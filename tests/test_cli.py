@@ -49,6 +49,12 @@ class TestGenerateCommand:
         run("generate", "--k", 3, "--g", 5, "--seed", 3, "--trace", trace, "-o", out)
         assert (out.read_bytes(), trace.read_bytes()) == first
 
+    def test_failed_forced_construction_exits_1_and_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "g.dimacs"
+        assert run("generate", "--k", 4, "--g", 7, "--n", 130, "--force", "-o", out) == 1
+        assert "error: construction failed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_n_below_floor_is_invalid_input(self, tmp_path, capsys):
         code = run("generate", "--k", 3, "--g", 5, "--n", 10, "-o", tmp_path / "g.dimacs")
         assert code == 2
@@ -170,6 +176,19 @@ class TestCounterexampleCommand:
         run(*args)
         assert (record_path.read_bytes(), graph_path.read_bytes()) == first
 
+    def test_no_upper_bound_writes_the_same_graph(self, tmp_path):
+        records, graphs = [], []
+        for flags in ((), ("--no-upper-bound",)):
+            record_path = tmp_path / f"rec{len(flags)}.json"
+            graph_path = tmp_path / f"g{len(flags)}.dimacs"
+            assert run("counterexample", "--g", 5, "--seed", 1, *flags,
+                       "-o", record_path, "--graph-out", graph_path) == 0
+            records.append(json.loads(record_path.read_text()))
+            graphs.append(graph_path.read_bytes())
+        assert graphs[0] == graphs[1]
+        assert records[0]["upper_bound"] is not None
+        assert records[1]["upper_bound"] is None
+
 
 class TestCertifyCommand:
     def test_good_graph(self, tmp_path, capsys):
@@ -266,6 +285,33 @@ class TestConjecture2Commands:
         )
         assert run("conjecture2", path, "--k", 2) == 0
         assert "cap=1 usage=0 status=exact" in capsys.readouterr().out
+
+    def test_usage_above_the_cap_is_flagged(self, monkeypatch, cubic_g5, capsys):
+        monkeypatch.setattr(
+            "strongedge.cli.min_last_color_usage",
+            lambda cg, k, **budgets: MinLastUsageResult("exact", 5, None, 0),
+        )
+        assert run("conjecture2", cubic_g5, "--k", 3) == 0
+        assert ("CAP EXCEEDED: exact usage 5 > cap 4; potential counterexample "
+                "to the usage conjecture") in capsys.readouterr().out
+
+    def test_sweep_flags_usage_above_the_cap(self, monkeypatch, tmp_path, capsys):
+        # k = 2 caps are m mod 3 <= 2, so usage 3 exceeds each of them
+        monkeypatch.setattr(
+            "strongedge.pipeline.min_last_color_usage",
+            lambda cg, k, **budgets: MinLastUsageResult("exact", 3, None, 0),
+        )
+        out = tmp_path / "evidence.json"
+        assert run("conjecture2-sweep", "--k", 2, "--g", 4, "--count", 3, "-o", out) == 0
+        rows = json.loads(out.read_text())["rows"]
+        flagged = [line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("CAP EXCEEDED")]
+        assert flagged == [
+            f"CAP EXCEEDED at n={r['n']} seed={r['seed']}: usage 3 > cap {r['cap']}; "
+            "potential counterexample to the usage conjecture"
+            for r in rows
+        ]
+        assert len(flagged) == 3 and all(r["flagged"] for r in rows)
 
     def test_single_graph_usage(self, tmp_path, capsys):
         path = tmp_path / "c12.dimacs"

@@ -101,9 +101,23 @@ class TestParse:
             assert exc.value.line_no == line_no
 
     def test_malformed_line_reports_line(self):
-        with pytest.raises(DimacsParseError) as exc:
-            parse_dimacs("p edge 2 1\nq 1 2\n")
-        assert exc.value.line_no == 2
+        cases = [
+            ("p edge 2 1\nq 1 2\n", "unrecognized line 'q 1 2'", 2),
+            ("p edge 2 1\ne 1 2 3\n", "expected 'e <u> <v>', got 'e 1 2 3'", 2),
+            ("p edge 2 1\ne 1 x\n", "endpoints must be integers", 2),
+            ("c bipartition 1\np edge 2 1\ne 1 2\n", "bipartition comment needs exactly two counts", 1),
+            ("c bipartition 1 two\np edge 2 1\ne 1 2\n", "bipartition counts must be integers", 1),
+            ("c bipartition 0 2\np edge 2 1\ne 1 2\n", "bipartition sides must be >= 1", 1),
+            ("p edge 2 0\np edge 2 0\n", "duplicate problem line", 2),
+            ("c x\np col 2 1\ne 1 2\n", "expected 'p edge <V> <E>', got 'p col 2 1'", 2),
+            ("p edge 2 one\n", "counts must be integers", 1),
+            ("p edge 2 -1\n", "counts must be >= 0", 1),
+            ("p edge -2 0\n", "counts must be >= 0", 1),
+        ]
+        for text, message, line_no in cases:
+            with pytest.raises(DimacsParseError) as exc:
+                parse_dimacs(text)
+            assert (exc.value.line_no, str(exc.value)) == (line_no, f"line {line_no}: {message}")
 
     def test_count_mismatch(self):
         with pytest.raises(DimacsParseError) as exc:

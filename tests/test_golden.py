@@ -29,6 +29,7 @@ import pytest
 
 from strongedge import (
     ConstructionFailedError,
+    VerificationError,
     build_counterexample,
     certify_graph,
     choose_n,
@@ -39,6 +40,7 @@ from strongedge import (
     generate,
     girth,
     greedy_color,
+    load_dimacs,
     min_last_color_usage,
     serialize_dimacs,
     verify,
@@ -580,3 +582,18 @@ def test_flagged_girth_six_usage_row(monkeypatch):
     assert row.flagged and evidence.flagged_rows() == [row]
     assert verify(conflict_graph(graph), res.coloring) and res.coloring.usage(6) == 5
     assert colors_digest(res.coloring.colors) == FLAGGED_G6_COLORS
+
+
+def test_flagged_girth_six_graph_has_strong_index_six():
+    # m = 45 is divisible by the window 5, so the counting certificate
+    # proves nothing here, yet the search refutes 5 colors and finds 6.
+    with pytest.raises(VerificationError) as exc:
+        certify_graph(FLAGGED_G6, 3)
+    assert exc.value.check == "divisibility"
+    cg = conflict_graph(load_dimacs(FLAGGED_G6))
+    assert cg.n_nodes == 45
+    res = find_coloring(cg, 5)
+    assert (res.status, res.nodes) == ("none", 60)
+    res = find_coloring(cg, 6)
+    assert (res.status, res.nodes) == ("found", 8117)
+    assert verify(cg, res.coloring) and res.coloring.n_colors == 6

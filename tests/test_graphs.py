@@ -129,6 +129,10 @@ class TestConstruction:
         with pytest.raises(ValueError):
             BipartiteGraph(*sides)
 
+    def test_negative_vertex_count_rejected(self):
+        with pytest.raises(ValueError, match=r"vertex count must be >= 0, got -1"):
+            SimpleGraph(-1)
+
     def test_vertex_cap_checked_before_allocating(self):
         with pytest.raises(ValueError, match="cap"):
             SimpleGraph(MAX_VERTICES + 1)

@@ -256,9 +256,13 @@ class TestWallClockBudget:
     the search makes every 256 nodes of its cumulative count."""
 
     def test_find_coloring_times_out_at_first_clock_check(self):
-        cg = conflict_graph(generate(3, 6, choose_n(3, 6), 1)[0])
-        res = find_coloring(cg, 6, budget_ms=0)
-        assert (res.status, res.nodes) == ("timeout", 256)
+        # The g = 6 graph (m = 288) takes the mask kernel; the g = 8 graph
+        # (m = 1152, 18 words against conflict degree 12) takes buckets.
+        # The node budget only ends a search whose clock check is broken.
+        for g, palette in [(6, 6), (8, 7)]:
+            cg = conflict_graph(generate(3, g, choose_n(3, g), 1)[0])
+            res = find_coloring(cg, palette, budget_ms=0, node_budget=5000)
+            assert (g, res.status, res.nodes) == (g, "timeout", 256)
 
     def test_exact_keeps_greedy_bound_at_first_clock_check(self):
         cg = conflict_graph(generate(3, 6, choose_n(3, 6), 1)[0])
@@ -312,6 +316,27 @@ class TestMinLastColorUsage:
         # chi_s(heawood) = 7, so the 6-color problem is infeasible; either
         # outcome is evidence, but it must be decided, not timed out.
         assert res.status in ("exact", "infeasible")
+
+    def test_relabel_swap_moves_the_least_used_class_to_the_last_color(self, monkeypatch):
+        # The probe 6-coloring uses color 6 twice and colors 1..5 once each,
+        # so the relabel swaps 5 and 6; cap 0 is refuted, and the swapped
+        # probe is the exact answer.
+        cg = conflict_graph(random_simple_graph(random.Random(63), 10, 12))
+        assert cg.n_nodes == 7
+        relabel, relabeled = solver._relabel_minimizing_last, []
+
+        def spy(phi, palette):
+            relabeled.append((phi, relabel(phi, palette)))
+            return relabeled[-1][1]
+
+        monkeypatch.setattr(solver, "_relabel_minimizing_last", spy)
+        res = min_last_color_usage(cg, 3)
+        ((probe, swapped),) = relabeled
+        assert probe.class_sizes() == {1: 1, 2: 1, 3: 1, 4: 1, 5: 1, 6: 2}
+        assert swapped.colors == [{5: 6, 6: 5}.get(c, c) for c in probe.colors]
+        assert (res.status, res.coloring) == ("exact", swapped)
+        assert res.usage == min_usage_oracle(cg, 6) == 1
+        assert verify(cg, res.coloring)
 
     def test_budget_exhaustion_best_found(self):
         cg = conflict_graph(cycle_graph(20))
