@@ -206,6 +206,13 @@ class TestLowPairEquivalence:
         # wherever r >= 3 and n <= MASK_CAP: the same graph and trace, or
         # the same failure
         grid = [(4, 7, n, seed) for n in (130, 200) for seed in range(6)]
+        # degree 4 on a ball of radius 3; the forced sizes mix swaps and failures
+        grid += [
+            (4, g, n, seed)
+            for g, forced in ((5, 24), (6, 30))
+            for n in (forced, choose_n(4, g))
+            for seed in range(3)
+        ]
         grid += [
             (3, g, n, seed)
             for g in range(5, 10)

@@ -104,6 +104,11 @@ GENERATE = {
         "80fa9fa073bcb88c991404ac2e7bacc35a5b7bad3bf141c95cec74eb06fc6119",
         "1da81de12f7a65fdd8f5e4c52c9ef323a0e3d8b94a545a7c0c6a4ecaf27dc293",
     ),
+    # the ladder's g = 8 build, on masks over a 2-hop ball of lefts
+    (3, 8, 384, 1, False): (
+        "dd708e7aa9f074c07c17a56d7096dd5d5b2982b5dd604368f898f137a2b697b2",
+        "217c1fec0ac2e4e595b1b275d88446d57aff8277cd9dbe82a8434731f2e9e18c",
+    ),
     # the longest draws: 768 and 1536 low xs at a level's start
     (3, 9, 768, 1, False): (
         "1c0722df86c3fe89d6dd9ccac74656800f3897ac8d0d1b72911d3964511328e3",
@@ -124,6 +129,11 @@ GENERATE = {
     (4, 5, 122, 2, False): (
         "b2be853ca4cca2b7b2aec8354232018f49c5d407047e1ed0a6002067e04d0d8c",
         "7c44450ff4e6345cf4ba896d5fe383581f68e358ddfcb4171ac0a60924e6604f",
+    ),
+    # degree 4 at g = 6, on the plain walk over a 2-hop ball of lefts
+    (4, 6, 365, 1, False): (
+        "7390a6371c0dc94834c19a84104fc9b33238cc808f962e45204327ca118c3f1d",
+        "f23246fd75243cd028bf9975d2c0d4f973535625b0b001243194eccb6e9bb0f7",
     ),
     (4, 7, 200, 0, True): (
         "1c406569d8b765aef2aeab583d0417720125b2253912660aea03e90c25e235ae",
