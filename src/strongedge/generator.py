@@ -15,7 +15,9 @@ the balls are dense next to the graph (:func:`_dense_balls`, from n, k and
 g alone), a level keeps per left vertex a mask of the right vertices
 within 3 hops, so the step walks 2 layers less and ORs machine words;
 elsewhere it walks the whole ball.  Both ways give the same pair and the
-same draws.
+same draws.  The left vertices of the part walked are read straight from
+the adjacency lists when they lie within 2 hops of x (always at g = 5 and
+6, and at g = 7 and 8 on masks); otherwise a layered BFS finds them.
 
 :func:`_build` validates its input once and owns the graph; each level
 lifts it in place.  The girth is measured once per build, on the final
@@ -94,13 +96,18 @@ def check_floor_fits(k: int, g: int) -> None:
 
 
 def base_cycle(n: int) -> BipartiteGraph:
-    """Hamiltonian cycle on 2n vertices, alternating sides; girth 2n."""
+    """Hamiltonian cycle on 2n vertices, alternating sides; girth 2n.
+
+    The edges go in through ``_insert``, which skips ``add_edge``'s range
+    and side checks but still rejects a duplicate: each edge joins a left
+    vertex below n to a right vertex n + i, so both ends are in range, on
+    opposite sides, and stored left first."""
     if n < 2:
         raise ValueError(f"cycle half-length must be >= 2, got {n}")
     g = BipartiteGraph(n, n)
     for i in range(n):
-        g.add_edge(i, n + i)
-        g.add_edge((i + 1) % n, n + i)
+        g._insert(i, n + i)
+        g._insert((i + 1) % n, n + i)
     return g
 
 
@@ -394,26 +401,45 @@ def find_distant_low_pair(state: AugmentState, rng: random.Random) -> tuple[int,
     at depth g-2.
 
     The ball is found one of two ways, with the same pair and the same
-    draws.  Without masks, a layered BFS walks to depth r-1, and the near
-    low ys are ``state.low_ys`` met with the neighbors of the left vertices
-    it reached, in one C-level pass; the drawn index is mapped to a y by
-    walking the sorted near ones.  With masks (``state.near3``), the BFS
-    stops at depth r-3 and the ball is the union of the ``near3`` masks of
-    the left vertices it reached: a y at distance d <= r lies within 3 hops
-    of the left vertex at distance max(0, d-3) on a shortest path.  The
-    near low ys are that union met with ``low_mask``, and the drawn index
-    is mapped to a y by a binary search on their bit counts.
+    draws.  Without masks, the near low ys are ``state.low_ys`` met with
+    the neighbors of the left vertices within r-1 hops of x, in one C-level
+    pass; the drawn index is mapped to a y by walking the sorted near ones.
+    With masks (``state.near3``), the ball is the union of the ``near3``
+    masks of the left vertices within r-3 hops: a y at distance d <= r lies
+    within 3 hops of the left vertex at distance max(0, d-3) on a shortest
+    path.  The near low ys are that union met with ``low_mask``, and the
+    drawn index is mapped to a y by a binary search on their bit counts.
+
+    Left vertices within 2 hops, at r = 3 without masks and r = 5 with
+    them, are read straight from the adjacency lists: they are the ends a
+    of the 2-paths x b a.  Every b leads back to x, so x is among them, and
+    ends repeat; a set intersection and an OR do not change with repeats.
+    At girth >= 5 the 2-hop ball is a tree, so x is the only repeat.  At
+    any other depth the lefts come from :func:`_ball_lefts`, a layered BFS
+    that reaches each vertex once.
     """
     graph = state.graph
     adj, near3, ys = graph._adj, state.near3, state.y_low
     radius = (state.girth_target - 3) | 1
+    depth = radius - 1 if near3 is None else radius - 3
     for x in _shuffled(rng, state.x_low):
         if near3 is None:
-            lefts = _ball_lefts(graph, x, radius - 1)
-            near = sorted(state.low_ys.intersection(chain.from_iterable(map(adj.__getitem__, lefts))))
+            if depth == 2:
+                # the right neighbors of the ends a of the 2-paths x b a
+                reached = [y for b in adj[x] for a in adj[b] for y in adj[a]]
+            else:
+                reached = chain.from_iterable(map(adj.__getitem__, _ball_lefts(graph, x, depth)))
+            near = sorted(state.low_ys.intersection(reached))
             free = len(ys) - len(near)
         else:
-            near = state.low_mask & reduce(or_, map(near3.__getitem__, _ball_lefts(graph, x, radius - 3)))
+            if depth == 2:
+                near = 0
+                for b in adj[x]:
+                    for a in adj[b]:
+                        near |= near3[a]
+            else:
+                near = reduce(or_, map(near3.__getitem__, _ball_lefts(graph, x, depth)))
+            near &= state.low_mask
             free = len(ys) - near.bit_count()
         if free:
             i = _below(rng, free)
