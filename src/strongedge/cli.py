@@ -99,7 +99,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget-ms", type=int, default=None)
     p.add_argument("--node-budget", type=int, default=None)
 
-    p = sub.add_parser("conjecture2-sweep", help="last-color usage evidence over generated instances")
+    p = sub.add_parser(
+        "conjecture2-sweep",
+        help="last-color usage evidence over generated instances, their rows run side by side "
+        "on the CPUs of the affinity mask",
+    )
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--g", type=int, required=True)
     p.add_argument("--count", type=int, required=True)

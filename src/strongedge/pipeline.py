@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import threading
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -284,33 +286,78 @@ def conjecture2_sweep(
     ``count`` generated instances.
 
     Instance i uses side size n_start + i (default floor: min_n) and seed
-    seed + i, so caps vary across the sweep.  Rows are computed one after
-    another in n order.  The graphs are k-regular, so every usage is held
-    to the cap by :func:`usage_cap`.
+    seed + i, so caps vary across the sweep.  The graphs are k-regular, so
+    every usage is held to the cap by :func:`usage_cap`.
+
+    A row is a function of (k, g, n, seed, budgets) alone, so rows run side
+    by side, one process per CPU of the affinity mask, and the evidence has
+    the same bytes on any number of CPUs; ``taskset -c 0`` runs them all in
+    this process.  ``budget_ms`` is still per row, and what a row reaches
+    within it depends on the load.
     """
     if count < 1:
         raise ValueError(f"instance count must be >= 1, got {count}")
     if n_start is None:
         check_floor_fits(k, g)
         n_start = min_n(k, g)
-    rows = []
-    for i in range(count):
+
+    def row(i: int) -> Conjecture2Row:
         n, inst_seed = n_start + i, seed + i
         graph, _ = generate(k, g, n, inst_seed, force=force)
         result = min_last_color_usage(
             conflict_graph(graph), k, budget_ms=budget_ms, node_budget=node_budget
         )
         cap = usage_cap(graph, k, result.usage)
-        rows.append(
-            Conjecture2Row(
-                k=k,
-                g=g,
-                n=n,
-                seed=inst_seed,
-                m=graph.n_edges,
-                cap=cap,
-                usage=result.usage,
-                status=result.status,
-            )
-        )
-    return Conjecture2Evidence(k=k, g=g, rows=tuple(rows))
+        return Conjecture2Row(k, g, n, inst_seed, graph.n_edges, cap, result.usage, result.status)
+
+    return Conjecture2Evidence(k=k, g=g, rows=tuple(_map_rows(row, count)))
+
+
+def _map_rows(row, count: int) -> list[Conjecture2Row]:
+    """``[row(0), ..., row(count - 1)]`` on W processes, one per CPU this
+    process may run on: this one and W - 1 forked workers.  Worker w writes
+    rows w, w + W, ... to its pipe, each a JSON line far below PIPE_BUF, so
+    it arrives whole or not at all.  This process walks the rows in order,
+    computing its own and reading the workers' lines; a row with no line
+    (its worker raised, died or was never forked) is computed here, so the
+    first row that fails raises exactly what a loop of one row at a time
+    raises.  On any exception the workers are killed; all are reaped.
+    """
+    workers = 1
+    if count > 1 and hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        # a fork while another thread holds a lock can deadlock the child
+        if threading.active_count() == 1:
+            workers = min(count, len(os.sched_getaffinity(0)))
+    streams = {}  # worker -> (pid, its pipe's read end)
+    try:
+        for w in range(1, workers):
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # EAGAIN at a process limit: this process takes w's rows
+                os.close(read_end)
+                os.close(write_end)
+                continue
+            if pid == 0:  # the worker: never returns into the caller's frames
+                try:
+                    os.close(read_end)
+                    for i in range(w, count, workers):
+                        os.write(write_end, (json.dumps(asdict(row(i))) + "\n").encode())
+                finally:
+                    os._exit(0)
+            os.close(write_end)
+            streams[w] = (pid, os.fdopen(read_end, encoding="ascii"))
+        rows = []
+        for i in range(count):
+            line = streams[i % workers][1].readline() if i % workers in streams else ""
+            rows.append(Conjecture2Row(**json.loads(line)) if line else row(i))
+        return rows
+    except BaseException:
+        import signal  # here only: the package import does not pay for it
+        for pid, _ in streams.values():
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, stream in streams.values():
+            stream.close()
+            os.waitpid(pid, 0)

@@ -4,8 +4,10 @@ size may crash the program, so no function recurses either: a recursion
 as deep as its input hits the interpreter's recursion limit.  The runtime
 is stdlib-only, so every import names the standard library or the package:
 numpy, scipy and the like may be installed where the tests run, and a stray
-import of one would pass every other test.  Every name the package exports
-has a caller outside the tests, so test-only code lives in the tests."""
+import of one would pass every other test.  The sweep forks its workers
+itself, so no process pool is imported either.  Every name the package
+exports has a caller outside the tests, so test-only code lives in the
+tests."""
 
 import ast
 import sys
@@ -79,23 +81,26 @@ def test_package_recursion_is_capped():
     assert _recursions(probe) == [(3, "g"), (6, "h")]
 
 
-def _foreign_imports(tree: ast.AST) -> list[tuple[int, str]]:
-    """(line, module) of every import in ``tree`` that names neither the
-    standard library nor this package."""
+def _imports(tree: ast.AST) -> list[tuple[int, str]]:
+    """(line, module) of every absolute import in ``tree``; a relative
+    import stays inside the package."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
+            found += [(node.lineno, alias.name) for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            names = [node.module]
-        else:
-            continue  # a relative import stays inside the package
-        found += [
-            (node.lineno, name)
-            for name in names
-            if name.partition(".")[0] not in sys.stdlib_module_names | {"strongedge"}
-        ]
+            found.append((node.lineno, node.module))
     return found
+
+
+def _foreign_imports(tree: ast.AST) -> list[tuple[int, str]]:
+    """(line, module) of every import in ``tree`` that names neither the
+    standard library nor this package."""
+    return [
+        (line, name)
+        for line, name in _imports(tree)
+        if name.partition(".")[0] not in sys.stdlib_module_names | {"strongedge"}
+    ]
 
 
 def test_package_imports_only_the_standard_library():
@@ -107,6 +112,38 @@ def test_package_imports_only_the_standard_library():
     # the check still sees a third-party import, at top level or in a body
     probe = ast.parse("import numpy.linalg\ndef f():\n    from scipy import sparse\n")
     assert _foreign_imports(probe) == [(1, "numpy.linalg"), (3, "scipy")]
+
+
+# The sweep's workers are plain os.fork children that send JSON lines over
+# a pipe.  A ProcessPoolExecutor doing the same split gained half as much
+# on the search workload and raised its peak RSS from 32.8 to 35.2-35.4 MB.
+# Importing what it needs costs 1.5 MB (multiprocessing) and 0.3 MB
+# (concurrent.futures) of peak RSS and, at module level, about 14 ms: half
+# of the package import, which is the ladder and quartic set-up time.
+# (On CPython 3.11, 2 CPUs, after the package import: concurrent.futures
+# .process 1.66 MB and 19-29 ms, multiprocessing.pool 1.04 MB and 15 ms.)
+PROCESS_POOL_MODULES = {"multiprocessing", "concurrent", "pickle"}
+
+
+def _pool_imports(tree: ast.AST) -> list[tuple[int, str]]:
+    return [
+        (line, name)
+        for line, name in _imports(tree)
+        if name.partition(".")[0] in PROCESS_POOL_MODULES
+    ]
+
+
+def test_package_imports_no_process_pool():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{line} ({name})" for line, name in _pool_imports(tree)]
+    assert found == [], "fork the workers with os.fork; drop the import at " + ", ".join(found)
+    probe = ast.parse(
+        "import multiprocessing.pool\nimport pickle, os\n"
+        "def f():\n    from concurrent.futures import ProcessPoolExecutor\n"
+    )
+    assert _pool_imports(probe) == [(1, "multiprocessing.pool"), (2, "pickle"), (4, "concurrent.futures")]
 
 
 def _exported_names() -> set[str]:

@@ -1,10 +1,15 @@
+import errno
 import hashlib
 import json
+import os
+import threading
+import time
 from pathlib import Path
 
 import pytest
 
 from strongedge import (
+    ConstructionFailedError,
     InternalInvariantError,
     MinLastUsageResult,
     StrongColoring,
@@ -18,6 +23,8 @@ from strongedge import (
     save_dimacs,
     serialize_dimacs,
 )
+from strongedge import pipeline
+from strongedge.cli import main
 from strongedge.pipeline import canonical_json
 from _helpers import (
     bipartite_cycle,
@@ -300,4 +307,172 @@ class TestSweep:
     def test_count_validation(self):
         with pytest.raises(ValueError):
             conjecture2_sweep(2, 4, 0)
+
+
+def no_child_left() -> bool:
+    """True when this process has no child, running or zombie."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+class TestSweepWorkers:
+    """Rows run on one process per CPU of the affinity mask: this one and
+    forked workers.  The evidence, and the error a failing row raises, are
+    those of one row at a time."""
+
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        """A setter of the affinity mask's CPU count; it returns the list
+        that records each fork from then on."""
+        forks = []
+        real_fork = os.fork
+
+        def fork():
+            forks.append(os.getpid())
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", fork)
+
+        def set_cpus(count):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+            forks.clear()
+            return forks
+
+        return set_cpus
+
+    # (args, kwargs) of conjecture2_sweep, the CPU count to compare with one
+    SPLITS = {
+        "golden-floor": ((3, 4, 4), {"node_budget": 5000}, 3),
+        "golden-forced-n10": ((3, 4, 4), {"node_budget": 5000, "n_start": 10, "force": True}, 3),
+        "5-rows-2-workers": ((3, 4, 5), {"node_budget": 2000, "n_start": 10, "force": True}, 2),
+        "2-rows-3-cpus": ((3, 4, 2), {"node_budget": 2000}, 3),
+    }
+
+    @pytest.mark.parametrize("case", sorted(SPLITS))
+    def test_same_bytes_on_one_cpu_and_on_several(self, cpus, case):
+        args, kwargs, many = self.SPLITS[case]
+        forks = cpus(1)
+        alone = canonical_json(conjecture2_sweep(*args, **kwargs).to_json_dict())
+        assert forks == []
+        forks = cpus(many)
+        split = canonical_json(conjecture2_sweep(*args, **kwargs).to_json_dict())
+        assert len(forks) == min(args[2], many) - 1
+        assert split == alone
+        assert no_child_left()
+
+    @staticmethod
+    def fail_rows(monkeypatch, failing, n_start=10):
+        """Make ``generate`` raise a distinct ConstructionFailedError, from an
+        InternalInvariantError, on each of the ``failing`` rows."""
+        real = pipeline.generate
+
+        def generate(k, g, n, seed, force=False):
+            i = n - n_start
+            if i in failing:
+                cause = InternalInvariantError(f"cause of row {i}")
+                raise ConstructionFailedError(f"row {i} failed") from cause
+            return real(k, g, n, seed, force=force)
+
+        monkeypatch.setattr(pipeline, "generate", generate)
+
+    @pytest.mark.parametrize("n_cpus", [1, 3])
+    @pytest.mark.parametrize(
+        "failing, first", [({1, 3}, 1), ({3}, 3), ({0, 1}, 0)],
+        ids=["worker-row-first", "parent-row-after-worker-rows", "parent-row-first"],
+    )
+    def test_first_failing_row_raises_its_own_error(self, cpus, monkeypatch, n_cpus, failing, first):
+        # at 3 CPUs this process takes rows 0 and 3, the workers 1, 4 and 2
+        self.fail_rows(monkeypatch, failing)
+        forks = cpus(n_cpus)
+        with pytest.raises(ConstructionFailedError) as exc:
+            conjecture2_sweep(3, 4, 5, n_start=10, force=True, node_budget=2000)
+        assert str(exc.value) == f"row {first} failed"
+        assert type(exc.value.__cause__) is InternalInvariantError
+        assert str(exc.value.__cause__) == f"cause of row {first}"
+        assert len(forks) == (0 if n_cpus == 1 else 2)
+        assert no_child_left()
+
+    def test_cli_exits_1_and_writes_no_evidence(self, cpus, monkeypatch, tmp_path, capsys):
+        self.fail_rows(monkeypatch, {1, 3})
+        cpus(3)
+        out = tmp_path / "evidence.json"
+        argv = ["conjecture2-sweep", "--k", "3", "--g", "4", "--count", "5", "--n", "10",
+                "--force", "--node-budget", "2000", "-o", str(out)]
+        assert main(argv) == 1
+        assert "row 1 failed" in capsys.readouterr().err
+        assert not out.exists()
+        assert no_child_left()
+
+    def test_worker_that_dies_leaves_its_rows_to_this_process(self, cpus, monkeypatch):
+        kwargs = {"node_budget": 2000, "n_start": 10, "force": True}
+        cpus(1)
+        alone = conjecture2_sweep(3, 4, 5, **kwargs)
+        parent, real = os.getpid(), pipeline.generate
+
+        def generate(k, g, n, seed, force=False):
+            if os.getpid() != parent and n == 14:
+                os._exit(3)  # worker 1 dies at row 4, after writing row 1
+            return real(k, g, n, seed, force=force)
+
+        monkeypatch.setattr(pipeline, "generate", generate)
+        forks = cpus(3)
+        assert conjecture2_sweep(3, 4, 5, **kwargs) == alone
+        assert len(forks) == 2 and no_child_left()
+
+    def test_failure_kills_the_workers_still_running(self, cpus, monkeypatch):
+        parent, real = os.getpid(), pipeline.generate
+
+        def generate(k, g, n, seed, force=False):
+            if os.getpid() != parent:
+                time.sleep(60)  # a worker's row that would outlast the test
+            elif n == 10:
+                raise ConstructionFailedError("row 0 failed")
+            return real(k, g, n, seed, force=force)
+
+        monkeypatch.setattr(pipeline, "generate", generate)
+        forks = cpus(3)
+        start = time.monotonic()
+        with pytest.raises(ConstructionFailedError, match="row 0 failed"):
+            conjecture2_sweep(3, 4, 3, n_start=10, force=True)
+        assert time.monotonic() - start < 30
+        assert len(forks) == 2 and no_child_left()
+
+    def test_fork_at_a_process_limit_runs_rows_here(self, cpus, monkeypatch):
+        kwargs = {"node_budget": 2000, "n_start": 10, "force": True}
+        cpus(1)
+        alone = conjecture2_sweep(3, 4, 3, **kwargs)
+        forks = cpus(3)
+
+        def fork():
+            forks.append(os.getpid())
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(os, "fork", fork)
+        assert conjecture2_sweep(3, 4, 3, **kwargs) == alone
+        assert len(forks) == 2 and no_child_left()
+
+    @pytest.mark.parametrize("missing", ["fork", "sched_getaffinity"])
+    def test_no_fork_without_the_os_calls(self, cpus, monkeypatch, missing):
+        forks = cpus(3)
+        alone = conjecture2_sweep(2, 4, 3)
+        forks.clear()
+        monkeypatch.delattr(os, missing)
+        assert conjecture2_sweep(2, 4, 3) == alone
+        assert forks == []
+
+    def test_no_fork_while_another_thread_runs(self, cpus):
+        forks = cpus(3)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait, args=(60,))
+        thread.start()
+        try:
+            conjecture2_sweep(2, 4, 3)
+        finally:
+            release.set()
+            thread.join(60)
+        assert not thread.is_alive()
+        assert forks == []
 
