@@ -35,6 +35,7 @@ from .pipeline import (
 )
 from .solver import (
     StrongColoring,
+    budget_limits,
     exact_chi_s,
     greedy_color,
     min_last_color_usage,
@@ -59,6 +60,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    budgets = argparse.ArgumentParser(add_help=False)
+    budgets.add_argument("--budget-ms", type=int, default=None)
+    budgets.add_argument("--node-budget", type=int, default=None)
 
     p = sub.add_parser("generate", help="build a k-regular bipartite graph of girth >= g")
     p.add_argument("--k", type=int, required=True, help="target degree (>= 2)")
@@ -69,11 +73,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--force", action="store_true", help="allow n below the guaranteed floor")
     p.add_argument("-o", "--output", type=Path, required=True, help="output graph (DIMACS)")
 
-    p = sub.add_parser("solve", help="compute the strong chromatic index of a graph")
+    p = sub.add_parser("solve", parents=[budgets],
+                       help="compute the strong chromatic index of a graph")
     p.add_argument("graph", type=Path)
     p.add_argument("--greedy", action="store_true", help="saturation greedy instead of exact search")
-    p.add_argument("--budget-ms", type=int, default=None)
-    p.add_argument("--node-budget", type=int, default=None)
     p.add_argument("-o", "--output", type=Path, default=None, help="write the coloring (JSON)")
 
     p = sub.add_parser("verify", help="check a coloring file against a graph")
@@ -93,24 +96,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("-o", "--output", type=Path, default=None, help="record (JSON)")
 
-    p = sub.add_parser("conjecture2", help="minimal last-color usage vs the cap on one graph")
+    p = sub.add_parser("conjecture2", parents=[budgets],
+                       help="minimal last-color usage vs the cap on one graph")
     p.add_argument("graph", type=Path)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--budget-ms", type=int, default=None)
-    p.add_argument("--node-budget", type=int, default=None)
 
     p = sub.add_parser(
         "conjecture2-sweep",
         help="last-color usage evidence over generated instances, their rows run side by side "
         "on the CPUs of the affinity mask",
+        parents=[budgets],
     )
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--g", type=int, required=True)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n", type=int, default=None, help="first side size; default min_n(k, g)")
-    p.add_argument("--budget-ms", type=int, default=None)
-    p.add_argument("--node-budget", type=int, default=None)
     p.add_argument("--force", action="store_true")
     p.add_argument("-o", "--output", type=Path, default=None, help="evidence table (JSON)")
 
@@ -306,18 +307,11 @@ _HANDLERS = {
 }
 
 
-def _check_budgets(args) -> None:
-    """Reject a negative budget flag, also where the command ignores it."""
-    for name in ("budget_ms", "node_budget"):
-        value = getattr(args, name, None)
-        if value is not None and value < 0:
-            raise ValueError(f"{name} must be >= 0, got {value}")
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _check_budgets(args)
+        # a negative budget is invalid input also where the command ignores it
+        budget_limits(getattr(args, "budget_ms", None), getattr(args, "node_budget", None))
         return _HANDLERS[args.command](args)
     except VerificationError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)

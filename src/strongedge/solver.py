@@ -24,6 +24,8 @@ budgets are wall-clock with a node-count alternative for reproducible CI.
 
 from __future__ import annotations
 
+import math
+import sys
 import time
 from dataclasses import dataclass
 
@@ -88,6 +90,22 @@ class MinLastUsageResult:
     nodes: int
 
 
+def budget_limits(budget_ms: int | None, node_budget: int | None) -> tuple[float | None, float]:
+    """The deadline and the node limit a search budget sets from now.
+
+    A negative budget is invalid (``ValueError``).  An unset node budget is
+    no limit, ``math.inf``.  An unset wall-clock budget, or one above the
+    largest float, whose deadline a float cannot hold, is no deadline,
+    ``None``: no clock check could reach it.
+    """
+    for name, value in (("budget_ms", budget_ms), ("node_budget", node_budget)):
+        if value is not None and value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
+    no_deadline = budget_ms is None or budget_ms > sys.float_info.max
+    deadline = None if no_deadline else time.monotonic() + budget_ms / 1000.0
+    return deadline, math.inf if node_budget is None else node_budget
+
+
 class _Budget:
     """Shared node/wall-clock budget threaded through nested searches.
 
@@ -96,17 +114,15 @@ class _Budget:
     ``nodes`` passes ``node_limit``, or when the clock is past ``deadline``
     at a clock check, made every 256 nodes of that count.
 
-    A negative budget is invalid (``ValueError``).  A budget of 0 runs out
+    :func:`budget_limits` sets both limits: ``node_limit`` is ``math.inf``
+    with no node budget, and ``deadline`` is ``None`` with no wall-clock
+    budget or one too large for a float deadline.  A budget of 0 runs out
     at once: a node budget before the first node, a wall-clock budget at the
     first clock check.
     """
 
     def __init__(self, budget_ms: int | None = None, node_budget: int | None = None):
-        for name, value in (("budget_ms", budget_ms), ("node_budget", node_budget)):
-            if value is not None and value < 0:
-                raise ValueError(f"{name} must be >= 0, got {value}")
-        self.deadline = None if budget_ms is None else time.monotonic() + budget_ms / 1000.0
-        self.node_limit = node_budget
+        self.deadline, self.node_limit = budget_limits(budget_ms, node_budget)
         self.nodes = 0
 
 
@@ -212,6 +228,11 @@ def _search_with(kernel, cg: ConflictGraph, palette: int, special_cap: int | Non
         return SearchResult(FOUND, StrongColoring([], verified=True), 0)
     if palette <= 0:
         return SearchResult(EXHAUSTED, None, 0)
+    if special_cap is None:
+        # m nodes take at most m colors, so a larger palette is the same
+        # search.  A capped search keeps its palette: the public API runs
+        # one only when the probe used color 2k, so 2k <= m already.
+        palette = min(palette, cg.n_nodes)
     status, colors = kernel(cg, palette, special_cap, budget)
     spent = budget.nodes - start_nodes
     if status == FOUND:
@@ -241,9 +262,7 @@ def _bucket_kernel(cg: ConflictGraph, palette: int, special_cap: int | None,
     stops.
     """
     m = cg.n_nodes
-    nodes = budget.nodes
-    node_limit = float("inf") if budget.node_limit is None else budget.node_limit
-    deadline = budget.deadline
+    nodes, node_limit, deadline = budget.nodes, budget.node_limit, budget.deadline
     regular = palette if special_cap is None else palette - 1
     full = (1 << regular) - 1
     special_bit = 0 if special_cap is None else 1 << (palette - 1)
@@ -403,9 +422,7 @@ def _mask_kernel(cg: ConflictGraph, palette: int, special_cap: int | None,
     counters, so undo restores them without touching a node.
     """
     m = cg.n_nodes
-    nodes = budget.nodes
-    node_limit = float("inf") if budget.node_limit is None else budget.node_limit
-    deadline = budget.deadline
+    nodes, node_limit, deadline = budget.nodes, budget.node_limit, budget.deadline
     special = regular = palette if special_cap is None else palette - 1
     degrees = cg.degrees
     order = sorted(range(m), key=lambda v: (-degrees[v], v))

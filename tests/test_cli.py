@@ -1,3 +1,4 @@
+import argparse
 import json
 import resource
 import subprocess
@@ -10,13 +11,15 @@ from strongedge import (
     MinLastUsageResult,
     SolveOutcome,
     StrongColoring,
+    certify_graph,
     choose_n,
     generate,
     girth,
     load_dimacs,
     save_dimacs,
 )
-from strongedge.cli import main
+from strongedge.cli import build_parser, main
+from strongedge.pipeline import canonical_json
 from _helpers import bipartite_cycle, cli_env, cycle_graph, heawood_graph, path_graph
 
 
@@ -153,6 +156,28 @@ class TestVerifyCommand:
         assert run("verify", path, coloring) == 2
         assert "invalid input" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"edges": P4_EDGES, "colors": [1, 2]},
+             "coloring file needs parallel 'edges' and 'colors' lists"),
+            ({"edges": [[1, 2], [2, 3], [1, 4]], "colors": [1, 2, 3]},
+             "edge [1, 4] is not in the graph"),
+            ({"edges": [[1, 2], [3, 2], [2, 3]], "colors": [1, 2, 3]},
+             "edge [2, 3] listed twice"),
+        ],
+        ids=["lists-not-parallel", "edge-not-in-graph", "edge-listed-twice"],
+    )
+    def test_edge_list_not_matching_the_graph_is_invalid_input(
+        self, tmp_path, capsys, data, message
+    ):
+        path = tmp_path / "p4.dimacs"
+        coloring = tmp_path / "p4.json"
+        save_dimacs(path, path_graph(4))
+        coloring.write_text(json.dumps(data))
+        assert run("verify", path, coloring) == 2
+        assert capsys.readouterr().err == f"invalid input: {message}\n"
+
 
 class TestCounterexampleCommand:
     def test_small_record(self, tmp_path, capsys):
@@ -193,9 +218,11 @@ class TestCounterexampleCommand:
 class TestCertifyCommand:
     def test_good_graph(self, tmp_path, capsys):
         path = tmp_path / "hw.dimacs"
+        record = tmp_path / "hw.json"
         save_dimacs(path, heawood_graph())
-        assert run("certify", path, "--k", 3) == 0
+        assert run("certify", path, "--k", 3, "-o", record) == 0
         assert "chi_s_lower=6" in capsys.readouterr().out
+        assert record.read_text() == canonical_json(certify_graph(path, 3).to_json_dict())
 
     def test_corrupted_file_exits_2(self, tmp_path):
         path = tmp_path / "bad.dimacs"
@@ -335,6 +362,26 @@ class TestConjecture2Commands:
         # six colors do not suffice on this graph, and that is evidence too
         assert "status=infeasible" in out
 
+    def test_palette_above_the_edge_count_takes_no_more_memory(self, cubic_g5):
+        # 2k = 2 * 10^9 colors on 144 edges: a search sized by the palette
+        # would ask for gigabytes, so the child is limited to 800 MB.
+        def peak_rss_kb(k):
+            code = (
+                "import resource, sys\n"
+                "from strongedge.cli import main\n"
+                f"code = main(['conjecture2', {str(cubic_g5)!r}, '--k', '{k}', '--node-budget', '50'])\n"
+                "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+                "sys.exit(code)\n"
+            )
+            proc = subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True, env=cli_env(),
+                preexec_fn=TestOversizedInput.limit_memory, timeout=60,
+            )
+            assert proc.returncode == 4, proc.stderr
+            return int(proc.stdout.split()[-1])
+
+        assert peak_rss_kb(10**9) < peak_rss_kb(3) + 4096
+
     def test_budget_exhaustion_exits_4(self, tmp_path):
         path = tmp_path / "c20.dimacs"
         save_dimacs(path, cycle_graph(20))
@@ -380,6 +427,30 @@ class TestBudgetFlags:
         save_dimacs(path, generate(3, 6, choose_n(3, 6), 1)[0])
         assert run("solve", path, "--budget-ms", 0) == 4
         assert "(256 search nodes)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["solve", "conjecture2"])
+    def test_budget_past_every_float_deadline_is_no_deadline(self, cubic_g5, capsys, command):
+        argv = [command, cubic_g5, "--node-budget", 50] + (
+            ["--k", 3] if command == "conjecture2" else []
+        )
+        assert run(*argv) == 4
+        unlimited = capsys.readouterr().out
+        assert run(*argv, "--budget-ms", 10**400) == 4
+        assert capsys.readouterr().out == unlimited
+        if command == "solve":
+            assert unlimited == "budget exhausted: 5 <= chi_s <= 8 (51 search nodes)\n"
+
+    def test_exactly_the_search_commands_take_budget_flags(self):
+        (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        takes = {
+            name: sorted(f for a in p._actions for f in a.option_strings if "budget" in f)
+            for name, p in sub.choices.items()
+        }
+        both = ["--budget-ms", "--node-budget"]
+        assert takes == {
+            name: both if name in ("solve", "conjecture2", "conjecture2-sweep") else []
+            for name in sub.choices
+        }
 
 
 class TestOversizedInput:

@@ -15,6 +15,7 @@ import pytest
 from strongedge import (
     AddStep,
     AugmentState,
+    BipartiteGraph,
     ConstructionFailedError,
     GeneratorTrace,
     InternalInvariantError,
@@ -663,6 +664,14 @@ class TestAugment:
         cubic, _ = generate(3, 4, 24, seed=0)
         with pytest.raises(ValueError):
             AugmentState.from_graph(cubic, 5, 4)
+
+    def test_unbalanced_low_sets_rejected(self):
+        # the path x0 - y - x1: both left vertices are low for k = 2, no right one
+        path = BipartiteGraph(2, 1)
+        path.add_edge(0, 2)
+        path.add_edge(1, 2)
+        with pytest.raises(ValueError, match="unbalanced low sets"):
+            AugmentState.from_graph(path, 2, 4)
 
 
 class TestGenerate:

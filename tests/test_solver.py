@@ -1,8 +1,9 @@
 import itertools
+import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from strongedge import (
     StrongColoring,
@@ -229,6 +230,12 @@ class TestFindColoring:
         with pytest.raises(ValueError):
             find_coloring(cg, -1)
 
+    @pytest.mark.parametrize("name", ["node_budget", "budget_ms"])
+    def test_negative_budget_rejected(self, name):
+        cg = conflict_graph(cycle_graph(6))
+        with pytest.raises(ValueError, match=f"{name} must be >= 0, got -1"):
+            find_coloring(cg, 3, **{name: -1})
+
     def test_timeout_distinct_from_none(self):
         cg = conflict_graph(heawood_graph())
         res = find_coloring(cg, 6, node_budget=2)
@@ -275,6 +282,14 @@ class TestWallClockBudget:
         res = find_coloring(cg, 3, budget_ms=0)
         assert res.status == "found"
         assert verify(cg, res.coloring)
+
+    def test_budget_past_every_float_deadline_sets_none(self):
+        budget = _Budget(budget_ms=10**400)
+        assert (budget.deadline, budget.node_limit) == (None, math.inf)
+        cg = conflict_graph(generate(3, 5, choose_n(3, 5), 1)[0])
+        assert find_coloring(cg, 6, budget_ms=10**400, node_budget=50) == find_coloring(
+            cg, 6, node_budget=50
+        )
 
 
 class TestMinLastColorUsage:
@@ -343,6 +358,10 @@ class TestMinLastColorUsage:
         res = min_last_color_usage(cg, 2, node_budget=1)
         assert res.status == "best-found"
 
+    def test_degree_below_one_rejected(self):
+        with pytest.raises(ValueError, match="degree must be >= 1"):
+            min_last_color_usage(conflict_graph(cycle_graph(6)), 0)
+
 
 def equivalence_family():
     """Seeded graphs for the scan-equivalence check: random simple graphs
@@ -405,6 +424,31 @@ class TestScanEquivalence:
         # vertices, with any palette, cap and node budget in these ranges.
         cg = conflict_graph(random_simple_graph(rng, 14, 24))
         self.assert_same_as_scan(cg, palette, special_cap, node_budget)
+
+    @given(
+        rng=st.randoms(use_true_random=False),
+        over=st.sampled_from([(1, 1), (1, 7), (10, 3)]),
+        node_budget=st.sampled_from([50, 2000]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_palette_above_edge_count_runs_as_edge_count(self, rng, over, node_budget):
+        # An uncapped search runs a palette p = a * m + b above m as m, and
+        # each kernel, run directly on p, walks the same tree as on m.
+        cg = conflict_graph(random_simple_graph(rng, 12, 20))
+        m = cg.n_nodes
+        assume(m > 0)  # a kernel runs only on a non-empty graph
+        palette = over[0] * m + over[1]
+
+        def outcome(kernel, palette):
+            budget = _Budget(node_budget=node_budget)
+            status, colors = kernel(cg, palette, None, budget)
+            return status, colors if status == "found" else None, budget.nodes
+
+        for kernel in KERNELS.values():
+            at_m = outcome(kernel, m)
+            assert outcome(kernel, palette) == at_m
+            res = _search_with(kernel, cg, palette, None, _Budget(node_budget=node_budget))
+            assert (res.status, res.coloring and res.coloring.colors, res.nodes) == at_m
 
     @pytest.mark.parametrize("g", [5, 6, 7])
     def test_same_outcome_as_scan_on_counterexamples(self, g):
