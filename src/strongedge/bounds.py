@@ -15,14 +15,13 @@ cap it sets as a check on the class sizes of a found coloring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import NotRegularError
 from .graphs import SimpleGraph
 
 
-@dataclass(frozen=True)
-class CountingCertificate:
+class CountingCertificate(NamedTuple):
     """Arithmetic record implying a strong-chromatic-index lower bound.
 
     ``chi_s_lower`` is 2k when the window 2k-1 does not divide the edge
@@ -38,8 +37,7 @@ class CountingCertificate:
     regularity_checked: bool
 
 
-@dataclass(frozen=True)
-class ClassSizeReport:
+class ClassSizeReport(NamedTuple):
     """Per-color edge counts measured against the certificate cap."""
 
     counts: dict[int, int]

@@ -35,10 +35,10 @@ import random
 from bisect import bisect_left
 from collections import deque
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field
 from functools import reduce
 from itertools import chain
 from operator import or_
+from typing import NamedTuple
 
 from .errors import ConstructionFailedError, InternalInvariantError
 from .graphs import MAX_VERTICES, BipartiteGraph, distances_from, girth
@@ -111,16 +111,14 @@ def base_cycle(n: int) -> BipartiteGraph:
     return g
 
 
-@dataclass(frozen=True)
-class AddStep:
+class AddStep(NamedTuple):
     """Edge x_l y_l added between a distant low pair (global vertex ids)."""
 
     x: int
     y: int
 
 
-@dataclass(frozen=True)
-class SwapStep:
+class SwapStep(NamedTuple):
     """Removed x_h y_h and added x_l y_h plus y_l x_h (global vertex ids)."""
 
     x_high: int
@@ -133,8 +131,7 @@ class SwapStep:
         return ((self.x_low, self.y_high), (self.y_low, self.x_high))
 
 
-@dataclass(frozen=True)
-class GeneratorTrace:
+class GeneratorTrace(NamedTuple):
     """Reproducible log of one construction run.
 
     The line format is ``ADD x y`` / ``SWAP xh yh xl yl`` with 1-based
@@ -185,7 +182,6 @@ def _mask(vertices, offset: int) -> int:
     return mask
 
 
-@dataclass
 class AugmentState:
     """Bookkeeping for one degree-raising level.
 
@@ -209,16 +205,15 @@ class AugmentState:
     low ys.
     """
 
-    graph: BipartiteGraph
-    k: int
-    girth_target: int
-    added: dict[tuple[int, int], None] = field(default_factory=dict)
-    x_low: list[int] = field(default_factory=list)
-    y_low: list[int] = field(default_factory=list)
-    low_ys: set[int] = field(default_factory=set)
-    rows: list[int] = field(default_factory=list)
-    near3: list[int] | None = None
-    low_mask: int = 0
+    def __init__(self, graph: BipartiteGraph, k: int, girth_target: int) -> None:
+        self.graph, self.k, self.girth_target = graph, k, girth_target
+        self.added: dict[tuple[int, int], None] = {}
+        self.x_low: list[int] = []
+        self.y_low: list[int] = []
+        self.low_ys: set[int] = set()
+        self.rows: list[int] = []
+        self.near3: list[int] | None = None
+        self.low_mask = 0
 
     @classmethod
     def from_graph(cls, graph: BipartiteGraph, k: int, girth_target: int) -> "AugmentState":

@@ -83,9 +83,6 @@ class SimpleGraph:
     def n_edges(self) -> int:
         return len(self._edges)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return ((u, v) if u < v else (v, u)) in self._edges
-
     def edges(self) -> list[tuple[int, int]]:
         """Endpoint pairs, as inserted, in insertion order."""
         return list(self._edges.values())

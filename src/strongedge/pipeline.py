@@ -17,8 +17,8 @@ import hashlib
 import json
 import os
 import threading
-from dataclasses import asdict, dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 from . import dimacs
 from .bounds import CountingCertificate, check_class_sizes, counting_certificate
@@ -29,7 +29,6 @@ from .graphs import SimpleGraph, conflict_graph, girth, two_coloring
 from .solver import greedy_color, min_last_color_usage
 
 
-@dataclass(frozen=True)
 class CounterexampleRecord:
     """Machine-checkable refutation record.
 
@@ -37,28 +36,30 @@ class CounterexampleRecord:
     non-divisibility of the edge count all pass on recomputation (the graph
     type itself rules out duplicate edges and self-loops); the certificate
     then gives chi'_s >= 2k, one more than the conjectured bound of 2k-1
-    colors at this girth.
+    colors at this girth.  Its fields are its ``__dict__``, so
+    ``CounterexampleRecord(**vars(record))`` rebuilds it.
     """
 
-    k: int
-    g: int
-    n: int
-    seed: int | None
-    graph_path: str | None
-    graph_sha256: str
-    girth: int
-    m: int
-    certificate: CountingCertificate
-    conjectured_bound: int
-    conclusion: str
-    upper_bound: int | None = None
+    def __init__(
+        self, k: int, g: int, n: int, seed: int | None, graph_path: str | None,
+        graph_sha256: str, girth: int, m: int, certificate: CountingCertificate,
+        conjectured_bound: int, conclusion: str, upper_bound: int | None = None,
+    ) -> None:
+        self.k, self.g, self.n, self.seed, self.graph_path = k, g, n, seed, graph_path
+        self.graph_sha256, self.girth, self.m = graph_sha256, girth, m
+        self.certificate, self.conjectured_bound = certificate, conjectured_bound
+        self.conclusion, self.upper_bound = conclusion, upper_bound
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return vars(self) == vars(other)
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return {**vars(self), "certificate": self.certificate._asdict()}
 
 
-@dataclass(frozen=True)
-class Conjecture2Row:
+class Conjecture2Row(NamedTuple):
     """One instance's last-color usage measured against the cap."""
 
     k: int
@@ -77,11 +78,10 @@ class Conjecture2Row:
         return self.status == "exact" and self.usage is not None and self.usage > self.cap
 
     def to_json_dict(self) -> dict:
-        return {**asdict(self), "flagged": self.flagged}
+        return {**self._asdict(), "flagged": self.flagged}
 
 
-@dataclass(frozen=True)
-class Conjecture2Evidence:
+class Conjecture2Evidence(NamedTuple):
     k: int
     g: int
     rows: tuple[Conjecture2Row, ...]
@@ -219,7 +219,7 @@ def build_counterexample(
                 f"{lower} colors, at most {report.cap} edges a class; "
                 f"over the cap: {list(report.offenders)})"
             )
-        record = replace(record, upper_bound=phi.n_colors)
+        record = CounterexampleRecord(**{**vars(record), "upper_bound": phi.n_colors})
     return record
 
 
@@ -342,7 +342,7 @@ def _map_rows(row, count: int) -> list[Conjecture2Row]:
                 try:
                     os.close(read_end)
                     for i in range(w, count, workers):
-                        os.write(write_end, (json.dumps(asdict(row(i))) + "\n").encode())
+                        os.write(write_end, (json.dumps(row(i)._asdict()) + "\n").encode())
                 finally:
                     os._exit(0)
             os.close(write_end)

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import sys
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InternalInvariantError
 from .graphs import ConflictGraph, edge_windows
@@ -39,15 +39,23 @@ TIMEOUT = "timeout"
 _CLOCK_CHECK_INTERVAL = 256
 
 
-@dataclass
 class StrongColoring:
     """Assignment of 1-based color ids to edges, in conflict-node order.
 
     ``verified`` is only ever set by :func:`verify`.
     """
 
-    colors: list[int]
-    verified: bool = False
+    def __init__(self, colors: list[int], verified: bool = False) -> None:
+        self.colors = colors
+        self.verified = verified
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.colors, self.verified) == (other.colors, other.verified)
+
+    def __repr__(self) -> str:
+        return f"StrongColoring(colors={self.colors!r}, verified={self.verified!r})"
 
     @property
     def n_colors(self) -> int:
@@ -63,8 +71,7 @@ class StrongColoring:
         return sizes
 
 
-@dataclass
-class SearchResult:
+class SearchResult(NamedTuple):
     """Outcome of one coloring decision problem."""
 
     status: str  # FOUND | EXHAUSTED | TIMEOUT
@@ -72,8 +79,7 @@ class SearchResult:
     nodes: int
 
 
-@dataclass
-class SolveOutcome:
+class SolveOutcome(NamedTuple):
     status: str  # "exact" | "upper-bound-only"
     chi_s: int | None
     coloring: StrongColoring | None
@@ -82,8 +88,7 @@ class SolveOutcome:
     nodes: int
 
 
-@dataclass
-class MinLastUsageResult:
+class MinLastUsageResult(NamedTuple):
     status: str  # "exact" | "best-found" | "infeasible"
     usage: int | None
     coloring: StrongColoring | None

@@ -168,6 +168,12 @@ def brute_girth(g: SimpleGraph) -> int | float:
     return best
 
 
+def has_edge(graph: SimpleGraph, u: int, v: int) -> bool:
+    """True iff ``graph`` stores the edge {u, v}, looked up under the
+    graph's key for it, its endpoints low first."""
+    return ((u, v) if u < v else (v, u)) in graph._edges
+
+
 def check_consistent(g: SimpleGraph) -> None:
     """Raise :class:`InternalInvariantError` naming the first mismatch
     unless the adjacency lists hold exactly the edges."""
@@ -429,7 +435,7 @@ def replay_trace(trace: GeneratorTrace) -> BipartiteGraph:
         if isinstance(step, AddStep):
             new_edges = ((step.x, step.y),)
         else:
-            if not graph.has_edge(step.x_high, step.y_high):
+            if not has_edge(graph, step.x_high, step.y_high):
                 raise InternalInvariantError(
                     f"step {idx}: swap removes missing edge "
                     f"({step.x_high}, {step.y_high})"

@@ -1,5 +1,3 @@
-from dataclasses import asdict
-
 import pytest
 
 from strongedge import (
@@ -62,7 +60,7 @@ class TestCertificate:
 
     def test_json_fields_exact(self):
         cert = counting_certificate(heawood_graph(), 3)
-        assert asdict(cert) == {
+        assert cert._asdict() == {
             "k": 3,
             "m": 21,
             "window": 5,

@@ -27,6 +27,7 @@ from _helpers import (
     complete_bipartite,
     conflicts_by_definition,
     cycle_graph,
+    has_edge,
     heawood_graph,
     path_graph,
     petersen_graph,
@@ -118,7 +119,7 @@ class TestConstruction:
         g = BipartiteGraph(1, 1)
         g.add_edge(0, 1)
         assert g.n_edges == 1
-        assert g.has_edge(1, 0)
+        assert has_edge(g, 1, 0)
 
     def test_shell_for_girth5_cubic(self):
         g = BipartiteGraph(48, 48)
@@ -175,7 +176,7 @@ class TestConstruction:
         g = BipartiteGraph(2, 3)
         g.add_edge(4, 1)
         assert g.edges() == [(1, 4)]
-        assert g.has_edge(4, 1) and g.has_edge(1, 4)
+        assert has_edge(g, 4, 1) and has_edge(g, 1, 4)
         assert g.neighbors(4) == [1] and g.neighbors(1) == [4]
 
     def test_high_first_edge_keeps_its_orientation(self):
@@ -184,7 +185,7 @@ class TestConstruction:
         g.add_edge(0, 2)
         assert g.edges() == [(3, 1), (0, 2)]
         assert conflict_graph(g).endpoints == ((3, 1), (0, 2))
-        assert g.has_edge(1, 3) and g.has_edge(3, 1)
+        assert has_edge(g, 1, 3) and has_edge(g, 3, 1)
         g.remove_edge(1, 3)
         assert g.edges() == [(0, 2)]
 
@@ -204,7 +205,7 @@ class TestRemoval:
         g.add_edge(0, 1)
         g.remove_edge(1, 0)
         assert g.n_edges == 0
-        assert not g.has_edge(0, 1)
+        assert not has_edge(g, 0, 1)
         check_consistent(g)
 
     def test_readd_moves_to_the_end(self):

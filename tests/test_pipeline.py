@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 from strongedge import (
+    Conjecture2Row,
     ConstructionFailedError,
+    CounterexampleRecord,
     InternalInvariantError,
     MinLastUsageResult,
     StrongColoring,
@@ -87,6 +89,19 @@ class TestBuildCounterexample:
         }
         assert data["upper_bound"] is None
         assert data["graph_path"] is None
+
+    def test_record_rebuilds_from_its_fields_and_nests_its_certificate(self):
+        # perfbench rebuilds a record from its __dict__ to break it
+        record = build_counterexample(4, k=2, seed=1)
+        assert CounterexampleRecord(**vars(record)) == record
+        assert CounterexampleRecord(**{**vars(record), "upper_bound": 7}) != record
+        # an object in the JSON, not the list a tuple would dump as
+        cert = record.to_json_dict()["certificate"]
+        assert type(cert) is dict
+        assert cert == {
+            "k": 2, "m": 8, "window": 3, "max_class_size": 2, "divisible": False,
+            "chi_s_lower": 4, "regularity_checked": True,
+        }
 
     def test_failed_check_writes_no_graph(self, tmp_path, monkeypatch):
         # Every check runs before the graph file is written, so a graph
@@ -294,6 +309,12 @@ class TestSweep:
         assert set(data["rows"][0]) == {
             "k", "g", "n", "seed", "m", "cap", "usage", "status", "flagged",
         }
+
+    @pytest.mark.parametrize("usage, status", [(None, "infeasible"), (3, "exact")])
+    def test_row_survives_the_worker_pipe(self, usage, status):
+        # a forked worker sends each row as one JSON line of its fields
+        row = Conjecture2Row(3, 4, 24, 7, 72, 2, usage, status)
+        assert Conjecture2Row(**json.loads(json.dumps(row._asdict()))) == row
 
     def test_usage_below_the_cap_is_a_bug(self, monkeypatch):
         # min_n(3, 4) = 24: m = 72 and the cap is 72 mod 5 = 2
