@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from strongedge import (
     BipartiteGraph,
@@ -20,6 +21,26 @@ OTHER_LINE_BREAKS = ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u20
 
 def normalized_edges(g):
     return sorted((u, v) if u < v else (v, u) for u, v in g.edges())
+
+
+@st.composite
+def graphs_with_removals(draw):
+    """A plain or bipartite graph, each edge added in a drawn orientation,
+    then some edges removed again."""
+    if draw(st.booleans()):
+        a, b = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+        g = BipartiteGraph(a, b)
+        pairs = [(x, a + y) for x in range(a) for y in range(b)]
+    else:
+        n = draw(st.integers(0, 9))
+        g = SimpleGraph(n)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    for u, v in chosen:
+        g.add_edge(*((v, u) if draw(st.booleans()) else (u, v)))
+    for u, v in chosen[: draw(st.integers(0, len(chosen)))]:
+        g.remove_edge(u, v)
+    return g
 
 
 class TestParse:
@@ -67,6 +88,52 @@ class TestParse:
         g = parse_dimacs("p edge 3 2\ne 3 1\ne 2 3\n")
         assert g.edges() == [(2, 0), (1, 2)]
         assert conflict_graph(g).endpoints == ((2, 0), (1, 2))
+
+    @settings(max_examples=150, deadline=None)
+    @given(graphs_with_removals())
+    def test_round_trip_keeps_class_sides_edges_and_bytes(self, g):
+        text = serialize_dimacs(g)
+        back = parse_dimacs(text)
+        assert type(back) is type(g)
+        assert back.n_vertices == g.n_vertices
+        if isinstance(g, BipartiteGraph):
+            assert (back.n_left, back.n_right) == (g.n_left, g.n_right)
+            assert all(u < g.n_left <= v for u, v in back.edges())
+        assert normalized_edges(back) == normalized_edges(g)
+        assert serialize_dimacs(back) == text
+
+    def test_plain_lines_high_first_keep_their_order(self):
+        lines = "e 5 1\ne 4 2\nc note\ne 3 1\ne 5 2\n"
+        plain = parse_dimacs("p edge 5 4\n" + lines)
+        assert type(plain) is SimpleGraph
+        assert plain.edges() == [(4, 0), (3, 1), (2, 0), (4, 1)]
+        # the same lines under a bipartition are stored left first
+        bipartite = parse_dimacs("c bipartition 2 3\np edge 5 4\n" + lines)
+        assert bipartite.edges() == [(0, 4), (1, 3), (0, 2), (1, 4)]
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            # two faults each found while the lines are read
+            ("e 1 9\ne 2 2\n", "line 3: endpoint out of range 1..4"),
+            ("e 2 2\nq\n", "line 3: self-loop at vertex 2"),
+            ("e 1 x\ne 1 2 3\n", "line 3: endpoints must be integers"),
+            # two faults each found while the edges go in
+            ("e 1 3\ne 1 3\ne 1 2\n", "line 4: duplicate edge"),
+            ("e 1 3\ne 1 2\ne 3 1\n", "line 4: edge (1, 2) does not cross the bipartition"),
+        ],
+    )
+    def test_earlier_of_two_faulty_lines_is_reported(self, body, message):
+        with pytest.raises(DimacsParseError) as exc:
+            parse_dimacs(f"c bipartition 2 2\np edge 4 3\n{body}")
+        assert str(exc.value) == message
+
+    def test_line_faults_come_before_insert_faults(self):
+        # a duplicate or a same-side edge shows only when the whole file is read
+        for body in ["e 1 3\ne 3 1\ne 2 2\n", "e 1 2\ne 1 3\ne 2 2\n"]:
+            with pytest.raises(DimacsParseError) as exc:
+                parse_dimacs(f"c bipartition 2 2\np edge 4 3\n{body}")
+            assert str(exc.value) == "line 5: self-loop at vertex 2"
 
     def test_edges_share_one_int_per_vertex(self):
         # ids above 257 name ints that CPython does not cache
