@@ -30,71 +30,54 @@ def parse_dimacs(text: str) -> SimpleGraph | BipartiteGraph:
     a header/body count mismatch, or a duplicate edge.
     """
     n_vertices: int | None = None
-    n_edges_declared: int | None = None
+    n_edges_declared = 0
     bipartition: tuple[int, int] | None = None
     # each edge line's 1-based u and v in turn, flat: no tuple or int is held
     # per edge, and an edge's line number is found again only for an error
     ends = array("i")  # endpoints are at most MAX_VERTICES
 
-    # only "\n" ends a line, as for a line-based reader; strip() drops a "\r"
+    # only "\n" ends a line, as for a line-based reader; split() drops a "\r"
     for line_no, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if not line:
+        parts = raw.split()
+        if not parts:
             continue
-        parts = line.split()
         kind = parts[0]
         if kind == "e":
             if n_vertices is None:
                 raise DimacsParseError("edge line before problem line", line_no)
             if len(parts) != 3:
-                raise DimacsParseError(f"expected 'e <u> <v>', got {line!r}", line_no)
+                raise DimacsParseError(f"expected 'e <u> <v>', got {raw.strip()!r}", line_no)
             try:
                 u, v = int(parts[1]), int(parts[2])
             except ValueError:
                 raise DimacsParseError("endpoints must be integers", line_no) from None
             if not (1 <= u <= n_vertices and 1 <= v <= n_vertices):
-                raise DimacsParseError(
-                    f"endpoint out of range 1..{n_vertices}", line_no
-                )
+                raise DimacsParseError(f"endpoint out of range 1..{n_vertices}", line_no)
             if u == v:
                 raise DimacsParseError(f"self-loop at vertex {u}", line_no)
             ends.extend((u, v))
-            continue
-        if kind == "c":
-            if len(parts) >= 2 and parts[1] == "bipartition":
-                if len(parts) != 4:
-                    raise DimacsParseError(
-                        "bipartition comment needs exactly two counts", line_no
-                    )
-                try:
-                    a, b = int(parts[2]), int(parts[3])
-                except ValueError:
-                    raise DimacsParseError(
-                        "bipartition counts must be integers", line_no
-                    ) from None
-                if a < 1 or b < 1:
-                    raise DimacsParseError("bipartition sides must be >= 1", line_no)
-                bipartition = (a, b)
-            continue
-        if kind == "p":
+        elif parts[:2] == ["c", "bipartition"]:
+            if len(parts) != 4:
+                raise DimacsParseError("bipartition comment needs exactly two counts", line_no)
+            bipartition = _two_ints(parts, "bipartition counts", line_no)
+            if min(bipartition) < 1:
+                raise DimacsParseError("bipartition sides must be >= 1", line_no)
+        elif kind == "p":
             if n_vertices is not None:
                 raise DimacsParseError("duplicate problem line", line_no)
             if len(parts) != 4 or parts[1] != "edge":
                 raise DimacsParseError(
-                    f"expected 'p edge <V> <E>', got {line!r}", line_no
+                    f"expected 'p edge <V> <E>', got {raw.strip()!r}", line_no
                 )
-            try:
-                n_vertices, n_edges_declared = int(parts[2]), int(parts[3])
-            except ValueError:
-                raise DimacsParseError("counts must be integers", line_no) from None
+            n_vertices, n_edges_declared = _two_ints(parts, "counts", line_no)
             if n_vertices < 0 or n_edges_declared < 0:
                 raise DimacsParseError("counts must be >= 0", line_no)
             if n_vertices > MAX_VERTICES:
                 raise DimacsParseError(
                     f"vertex count {n_vertices} exceeds the cap of {MAX_VERTICES}", line_no
                 )
-            continue
-        raise DimacsParseError(f"unrecognized line {line!r}", line_no)
+        elif kind != "c":
+            raise DimacsParseError(f"unrecognized line {raw.strip()!r}", line_no)
 
     if n_vertices is None:
         raise DimacsParseError("missing 'p edge' problem line")
@@ -102,36 +85,34 @@ def parse_dimacs(text: str) -> SimpleGraph | BipartiteGraph:
         raise DimacsParseError(
             f"header declares {n_edges_declared} edges but file has {len(ends) // 2}"
         )
-
-    vertex = list(range(-1, n_vertices))  # 1-based id -> its one 0-based int
     if bipartition is None:
         graph = SimpleGraph(n_vertices)
+    elif sum(bipartition) == n_vertices:
+        graph = BipartiteGraph(*bipartition)
     else:
         a, b = bipartition
-        if a + b != n_vertices:
-            raise DimacsParseError(
-                f"bipartition {a}+{b} does not match vertex count {n_vertices}"
-            )
-        graph = BipartiteGraph(a, b)
-    # range and self-loops were checked per line, so an edge goes in with
-    # only the side and duplicate checks
-    insert, pairs = graph._insert, iter(ends)
+        raise DimacsParseError(f"bipartition {a}+{b} does not match vertex count {n_vertices}")
+
+    vertex = list(range(-1, n_vertices))  # 1-based id -> its one 0-based int
+    add, pairs = graph.add_edge, iter(ends)
     try:
-        if bipartition is None:
-            for u, v in zip(pairs, pairs):
-                insert(vertex[u], vertex[v])
-            return graph
         for u, v in zip(pairs, pairs):
-            lo, hi = (u, v) if u < v else (v, u)
-            if not (lo <= a < hi):
-                raise DimacsParseError(
-                    f"edge ({u}, {v}) does not cross the bipartition",
-                    _edge_line_no(text, graph.n_edges),
-                )
-            insert(vertex[lo], vertex[hi])
+            add(vertex[u], vertex[v])
     except DuplicateEdgeError:
-        raise DimacsParseError("duplicate edge", _edge_line_no(text, graph.n_edges)) from None
-    return graph
+        message = "duplicate edge"
+    except ValueError:  # a same-side edge: range and self-loops were checked per line
+        message = f"edge ({u}, {v}) does not cross the bipartition"
+    else:
+        return graph
+    raise DimacsParseError(message, _edge_line_no(text, graph.n_edges))
+
+
+def _two_ints(parts: list[str], what: str, line_no: int) -> tuple[int, int]:
+    """The third and fourth fields of a ``p`` or ``c bipartition`` line."""
+    try:
+        return int(parts[2]), int(parts[3])
+    except ValueError:
+        raise DimacsParseError(f"{what} must be integers", line_no) from None
 
 
 def _edge_line_no(text: str, i: int) -> int:

@@ -219,7 +219,7 @@ def build_counterexample(
                 f"{lower} colors, at most {report.cap} edges a class; "
                 f"over the cap: {list(report.offenders)})"
             )
-        record = CounterexampleRecord(**{**vars(record), "upper_bound": phi.n_colors})
+        record.upper_bound = phi.n_colors
     return record
 
 

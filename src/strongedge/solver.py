@@ -568,7 +568,11 @@ def exact_chi_s(
     edge neighborhood, takes the saturation-greedy coloring as the upper
     bound, then settles each color count in between by exhaustive decision
     search, ascending.  On budget exhaustion the outcome carries the
-    best-known bounds instead of an exact value.
+    best-known bounds instead of an exact value.  ``lower_bound`` comes from
+    the clique bound and the search alone, never from the counting
+    certificate, so it can sit below what the certificate proves: on a cubic
+    counterexample, where the certificate proves 6, a search that runs out of
+    budget reports ``lower_bound`` 5.
     """
     budget = _Budget(budget_ms, node_budget)
     lower = _clique_lower_bound(cg)
