@@ -30,7 +30,7 @@ def parse_dimacs(text: str) -> SimpleGraph | BipartiteGraph:
     a header/body count mismatch, or a duplicate edge.
     """
     n_vertices: int | None = None
-    n_edges_declared = 0
+    n_edges_declared: int | None = None
     bipartition: tuple[int, int] | None = None
     # each edge line's 1-based u and v in turn, flat: no tuple or int is held
     # per edge, and an edge's line number is found again only for an error

@@ -26,7 +26,8 @@ def _traced_names():
     tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
     (wraps,) = (
         node.value for node in tree.body
-        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["WRAPS"]
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "WRAPS" for t in node.targets)
     )
     return [(row.elts[0].value, row.elts[1].value) for row in wraps.elts]
 
