@@ -5,7 +5,8 @@ lines, extended with an optional comment ``c bipartition <n_left> <n_right>``.
 When the bipartition comment is present the parser returns a
 :class:`BipartiteGraph` (left side 1..n_left, right side n_left+1..V) and
 validates that every edge crosses sides; otherwise it returns a
-:class:`SimpleGraph`.
+:class:`SimpleGraph`.  Counts and endpoints are ASCII decimal numbers, as
+other DIMACS readers take them; a comment may hold any text.
 
 Serialization is canonical: bipartition comment first (if any), then the
 header, then edges sorted by normalized endpoint pair, so identical graphs
@@ -47,10 +48,7 @@ def parse_dimacs(text: str) -> SimpleGraph | BipartiteGraph:
                 raise DimacsParseError("edge line before problem line", line_no)
             if len(parts) != 3:
                 raise DimacsParseError(f"expected 'e <u> <v>', got {raw.strip()!r}", line_no)
-            try:
-                u, v = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise DimacsParseError("endpoints must be integers", line_no) from None
+            u, v = _two_ints(raw, parts, 1, "endpoints", line_no)
             if not (1 <= u <= n_vertices and 1 <= v <= n_vertices):
                 raise DimacsParseError(f"endpoint out of range 1..{n_vertices}", line_no)
             if u == v:
@@ -59,7 +57,7 @@ def parse_dimacs(text: str) -> SimpleGraph | BipartiteGraph:
         elif parts[:2] == ["c", "bipartition"]:
             if len(parts) != 4:
                 raise DimacsParseError("bipartition comment needs exactly two counts", line_no)
-            bipartition = _two_ints(parts, "bipartition counts", line_no)
+            bipartition = _two_ints(raw, parts, 2, "bipartition counts", line_no)
             if min(bipartition) < 1:
                 raise DimacsParseError("bipartition sides must be >= 1", line_no)
         elif kind == "p":
@@ -69,7 +67,7 @@ def parse_dimacs(text: str) -> SimpleGraph | BipartiteGraph:
                 raise DimacsParseError(
                     f"expected 'p edge <V> <E>', got {raw.strip()!r}", line_no
                 )
-            n_vertices, n_edges_declared = _two_ints(parts, "counts", line_no)
+            n_vertices, n_edges_declared = _two_ints(raw, parts, 2, "counts", line_no)
             if n_vertices < 0 or n_edges_declared < 0:
                 raise DimacsParseError("counts must be >= 0", line_no)
             if n_vertices > MAX_VERTICES:
@@ -107,12 +105,19 @@ def parse_dimacs(text: str) -> SimpleGraph | BipartiteGraph:
     raise DimacsParseError(message, _edge_line_no(text, graph.n_edges))
 
 
-def _two_ints(parts: list[str], what: str, line_no: int) -> tuple[int, int]:
-    """The third and fourth fields of a ``p`` or ``c bipartition`` line."""
-    try:
-        return int(parts[2]), int(parts[3])
-    except ValueError:
-        raise DimacsParseError(f"{what} must be integers", line_no) from None
+def _two_ints(raw: str, parts: list[str], i: int, what: str, line_no: int) -> tuple[int, int]:
+    """Fields ``i`` and ``i + 1`` of line ``raw``, split into ``parts``.
+
+    A DIMACS number is ASCII decimal digits, so on an ASCII line with no
+    ``+`` or ``_`` what ``int()`` takes is exactly ``-?[0-9]+``; a minus
+    sign is left to the caller's range check.
+    """
+    if raw.isascii() and "+" not in raw and "_" not in raw:
+        try:
+            return int(parts[i]), int(parts[i + 1])
+        except ValueError:
+            pass
+    raise DimacsParseError(f"{what} must be integers", line_no)
 
 
 def _edge_line_no(text: str, i: int) -> int:
