@@ -248,6 +248,20 @@ class TestCertifyCommand:
         assert "invalid input" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["certify", "solve", "verify"])
+def test_signed_endpoint_is_invalid_input(tmp_path, capsys, command):
+    # int() reads "+1" as 1; a DIMACS number has no sign
+    path = tmp_path / "signed.dimacs"
+    path.write_text("p edge 3 2\ne 1 2\ne +1 3\n")
+    coloring = tmp_path / "p3.json"
+    coloring.write_text(json.dumps({"edges": [[1, 2], [1, 3]], "colors": [1, 2]}))
+    args = {"certify": ["--k", 3], "solve": [], "verify": [coloring]}[command]
+    assert run(command, path, *args) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "invalid input: line 3: endpoints must be integers\n"
+    assert captured.out == ""
+
+
 @pytest.fixture
 def cubic_g5(tmp_path):
     """The k = 3, g = 5, seed-1 graph: m = 144, so chi_s_lower = 6 and the

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -230,6 +232,96 @@ class TestParse:
     def test_bipartition_count_mismatch(self):
         with pytest.raises(DimacsParseError):
             parse_dimacs("c bipartition 2 3\np edge 4 0\n")
+
+
+# a file whose line 2 is its bipartition, line 3 its header and line 4 an edge
+RULE_LINES = ["c first", "c bipartition 2 2", "p edge 4 1", "e 1 3"]
+RULE_MESSAGES = {
+    2: "bipartition counts must be integers",
+    3: "counts must be integers",
+    4: "endpoints must be integers",
+}
+# what int() takes and a DIMACS reader does not: a sign, an underscore,
+# digits of other scripts, and fields split by non-ASCII whitespace
+NOT_DIMACS = {
+    "plus": lambda line: line[:-1] + "+3",
+    "underscore": lambda line: line[:-1] + "1_0",
+    "arabic-indic": lambda line: line[:-1] + "\u0663",
+    "fullwidth": lambda line: line[:-1] + "\uff14",
+    "ideographic-space": lambda line: line[:-2] + "\u3000" + line[-1],
+    "no-break-space": lambda line: line[:-2] + "\u00a0" + line[-1],
+}
+
+
+def rule_text(line_no, line):
+    """The text of ``RULE_LINES`` with line ``line_no`` replaced by ``line``."""
+    lines = list(RULE_LINES)
+    lines[line_no - 1] = line
+    return "\n".join(lines) + "\n"
+
+
+class TestNumberRule:
+    """Counts and endpoints are ``-?[0-9]+`` in ASCII, on ASCII lines."""
+
+    def test_the_file_the_table_breaks_parses(self):
+        g = parse_dimacs("\n".join(RULE_LINES) + "\n")
+        assert isinstance(g, BipartiteGraph)
+        assert g.edges() == [(0, 2)]
+
+    @pytest.mark.parametrize("form", NOT_DIMACS)
+    @pytest.mark.parametrize("line_no", RULE_MESSAGES, ids=["bipartition", "p", "e"])
+    def test_non_dimacs_number_is_refused_on_its_line(self, line_no, form):
+        with pytest.raises(DimacsParseError) as exc:
+            parse_dimacs(rule_text(line_no, NOT_DIMACS[form](RULE_LINES[line_no - 1])))
+        assert exc.value.line_no == line_no
+        assert str(exc.value) == f"line {line_no}: {RULE_MESSAGES[line_no]}"
+
+    @pytest.mark.parametrize(
+        "line_no, line, message",
+        [
+            (2, "c bipartition -2 2", "bipartition sides must be >= 1"),
+            (4, "e 1 -3", "endpoint out of range 1..4"),
+            (4, "e -0 3", "endpoint out of range 1..4"),
+        ],
+    )
+    def test_leading_minus_parses_and_fails_the_range_check(self, line_no, line, message):
+        # the header's negative counts are in test_malformed_line_reports_line
+        with pytest.raises(DimacsParseError) as exc:
+            parse_dimacs(rule_text(line_no, line))
+        assert str(exc.value) == f"line {line_no}: {message}"
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "c Lužar–Mačajová–Škoviera–Soták\n"
+            "c bipartition 2 2\np edge 4 1\ne 1 3\n",
+            "c bipartition 02 2\np edge 004 01\ne 01 03\n",
+            "c first\r\nc bipartition 2 2\r\np edge 4 1\r\ne 1 3\r\n",
+            "c\tfirst\nc\tbipartition\t2\t2\np\tedge\t4\t1\ne\t1\t3\n",
+        ],
+        ids=["utf8-comment", "leading-zeros", "crlf", "tab"],
+    )
+    def test_dimacs_numbers_still_parse(self, text):
+        g = parse_dimacs(text)
+        assert isinstance(g, BipartiteGraph)
+        assert (g.n_left, g.n_right, g.edges()) == (2, 2, [(0, 2)])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.text(st.one_of(st.sampled_from("0123456789-+_"), st.characters()), min_size=1, max_size=5)
+        .filter(lambda field: field.split() == [field])
+    )
+    def test_an_endpoint_is_read_iff_it_is_ascii_digits(self, field):
+        text = f"p edge 9 1\ne 1 {field}\n"
+        if not re.fullmatch(r"-?[0-9]+", field):
+            with pytest.raises(DimacsParseError) as exc:
+                parse_dimacs(text)
+            assert str(exc.value) == "line 2: endpoints must be integers"
+        elif 2 <= int(field) <= 9:
+            assert parse_dimacs(text).edges() == [(0, int(field) - 1)]
+        else:
+            with pytest.raises(DimacsParseError, match="line 2: (endpoint out of range|self-loop)"):
+                parse_dimacs(text)
 
 
 class TestSerialize:

@@ -8,7 +8,8 @@ import of one would pass every other test.  The sweep forks its workers
 itself, so no process pool is imported either.  The records are named
 tuples and plain classes, so no module imports ``dataclasses``.  Every name
 the package exports has a caller outside the tests, so test-only code lives
-in the tests."""
+in the tests.  The DIMACS reader reads every number through one helper, so
+the rule for what a number is lives in one place."""
 
 import ast
 import os
@@ -212,3 +213,39 @@ def test_every_export_has_a_caller_outside_the_tests():
     # the check still tells a call from a definition, assignment or import
     probe = ast.parse("from .x import a\ne = 1\ndef b():\n    return c.d()\n")
     assert _referenced_names(probe) == {"c", "d"}
+
+
+def _int_reads(tree: ast.AST, reader: str) -> list[int]:
+    """Lines where ``tree`` names ``int`` outside type hints and outside
+    the function ``reader``: a call, or ``int`` passed on as in ``map``."""
+    skip = set()
+    for node in ast.walk(tree):
+        hints = []
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if node.name == reader:
+                skip |= {id(n) for n in ast.walk(node)}
+            hints.append(node.returns)
+        elif isinstance(node, (ast.arg, ast.AnnAssign)):
+            hints.append(node.annotation)
+        skip |= {id(n) for hint in hints if hint is not None for n in ast.walk(hint)}
+    return [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id == "int" and id(node) not in skip
+    ]
+
+
+def test_dimacs_reads_every_number_through_one_helper():
+    tree = ast.parse((PACKAGE / "dimacs.py").read_text())
+    assert _int_reads(tree, "_two_ints") == [], "read DIMACS numbers through _two_ints"
+    (parse,) = (f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "parse_dimacs")
+    reads = [
+        node for node in ast.walk(parse)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_two_ints"
+    ]
+    assert len(reads) == 3  # the p edge, c bipartition and e lines
+    # the check still sees a call or a passed-on int, but not a type hint
+    probe = ast.parse(
+        "def _two_ints(a: str) -> int:\n    return int(a)\n"
+        "def f(x: int) -> list[int]:\n    y: int = 0\n    return list(map(int, x)), int(y)\n"
+    )
+    assert _int_reads(probe, "_two_ints") == [5, 5]

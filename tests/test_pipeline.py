@@ -103,6 +103,13 @@ class TestBuildCounterexample:
             "chi_s_lower": 4, "regularity_checked": True,
         }
 
+    def test_record_is_not_equal_to_its_json_dict(self):
+        # the dict holds the same fields, but a record equals only a record
+        record = build_counterexample(4, k=2, seed=1)
+        assert record != record.to_json_dict()
+        assert record.to_json_dict() != record
+        assert record.__eq__(vars(record)) is NotImplemented
+
     def test_failed_check_writes_no_graph(self, tmp_path, monkeypatch):
         # Every check runs before the graph file is written, so a graph
         # that fails one leaves nothing behind.

@@ -85,6 +85,27 @@ class TestVerify:
             verify(conflict_graph(cycle_graph(3)), StrongColoring([1, 0, 2]))
 
 
+class TestStrongColoring:
+    # README: equal to another with the same colors and verified
+    def test_equal_on_colors_and_verified(self):
+        cg = conflict_graph(cycle_graph(6))
+        phi = StrongColoring([1, 2, 3, 1, 2, 3])
+        assert verify(cg, phi)
+        assert phi == StrongColoring([1, 2, 3, 1, 2, 3], verified=True)
+        assert phi != StrongColoring([1, 2, 3, 1, 2, 3])
+        assert phi != StrongColoring([1, 2, 3, 1, 3, 2], verified=True)
+
+    def test_not_equal_to_a_plain_list(self):
+        phi = StrongColoring([1, 2, 3])
+        assert phi != [1, 2, 3]
+        assert [1, 2, 3] != phi
+        assert phi.__eq__([1, 2, 3]) is NotImplemented
+
+    def test_repr_names_both_fields(self):
+        phi = StrongColoring([2, 1], verified=True)
+        assert repr(phi) == "StrongColoring(colors=[2, 1], verified=True)"
+
+
 class TestGreedy:
     def test_complete_conflict_graph_needs_all_colors(self):
         cg = conflict_graph(complete_bipartite(3, 3))
