@@ -15,6 +15,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
+from .bounds import check_color_counts, usage_cap
 from .dimacs import load_dimacs, save_dimacs
 from .errors import (
     ConstructionFailedError,
@@ -29,9 +30,7 @@ from .pipeline import (
     build_counterexample,
     canonical_json,
     certify_graph,
-    check_color_counts,
     conjecture2_sweep,
-    usage_cap,
 )
 from .solver import (
     StrongColoring,
@@ -203,7 +202,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_verify(args) -> int:
     graph = load_dimacs(args.graph)
-    data = json.loads(args.coloring.read_text())
+    data = json.loads(args.coloring.read_bytes())  # UTF-8, -16 or -32, as RFC 8259 says
     phi = _coloring_from_json(graph, data)
     if verify(conflict_graph(graph), phi):
         print(f"VALID: {phi.n_colors} colors on {len(phi.colors)} edges")
@@ -321,7 +320,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONSTRUCTION_FAILED
     except InternalInvariantError:
         raise  # a bug, not bad input: crash with a traceback
-    except (DimacsParseError, StrongEdgeError, ValueError, OSError) as exc:
+    # the package never recurses, so a RecursionError is a stdlib parser's,
+    # on input nested too deep (a coloring file of 100,000 brackets)
+    except (DimacsParseError, StrongEdgeError, ValueError, OSError, RecursionError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
 

@@ -6,7 +6,7 @@ When the bipartition comment is present the parser returns a
 :class:`BipartiteGraph` (left side 1..n_left, right side n_left+1..V) and
 validates that every edge crosses sides; otherwise it returns a
 :class:`SimpleGraph`.  Counts and endpoints are ASCII decimal numbers, as
-other DIMACS readers take them; a comment may hold any text.
+other DIMACS readers take them; a comment may hold any bytes.
 
 Serialization is canonical: bipartition comment first (if any), then the
 header, then edges sorted by normalized endpoint pair, so identical graphs
@@ -23,13 +23,18 @@ from .errors import DimacsParseError, DuplicateEdgeError
 from .graphs import MAX_VERTICES, BipartiteGraph, SimpleGraph
 
 
-def parse_dimacs(text: str) -> SimpleGraph | BipartiteGraph:
-    """Parse DIMACS text into a graph.
+def parse_dimacs(text: str | bytes) -> SimpleGraph | BipartiteGraph:
+    """Parse DIMACS text, or a file's bytes, into a graph.
 
-    Raises :class:`DimacsParseError` (with the offending line number) on a
-    malformed line, a vertex count above :data:`~strongedge.graphs.MAX_VERTICES`,
-    a header/body count mismatch, or a duplicate edge.
+    Bytes are decoded as UTF-8, each byte that is not UTF-8 kept as a lone
+    surrogate, so a comment may hold any bytes, and such a byte on another
+    line is that line's own error.  Raises :class:`DimacsParseError` (with
+    the offending line number) on a malformed line, a vertex count above
+    :data:`~strongedge.graphs.MAX_VERTICES`, a header/body count mismatch,
+    or a duplicate edge.
     """
+    if isinstance(text, bytes):
+        text = text.decode(errors="surrogateescape")
     n_vertices: int | None = None
     n_edges_declared: int | None = None
     bipartition: tuple[int, int] | None = None
@@ -139,7 +144,7 @@ def serialize_dimacs(g: SimpleGraph) -> str:
 
 
 def load_dimacs(path: str | Path) -> SimpleGraph | BipartiteGraph:
-    return parse_dimacs(Path(path).read_bytes().decode())
+    return parse_dimacs(Path(path).read_bytes())
 
 
 def save_dimacs(path: str | Path, g: SimpleGraph) -> str:

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import dimacs
-from .bounds import CountingCertificate, check_class_sizes, counting_certificate
+from .bounds import CountingCertificate, check_class_sizes, counting_certificate, usage_cap
 from .dimacs import serialize_dimacs
 from .errors import InternalInvariantError, NotRegularError, VerificationError
 from .generator import _build, check_floor_fits, choose_n, generate, min_n
@@ -192,7 +192,7 @@ def build_counterexample(
     measured once, and a graph below the floor fails them as ``girth``.
     For k = 3 the record refutes the five-color bound for large-girth cubic
     bipartite graphs at girth g.  The greedy coloring behind the upper bound
-    is held to the certificate: every class within its cap and at least
+    is held to the certificate: every class within its cap, and so at least
     ``chi_s_lower`` colors, else :class:`InternalInvariantError`.
     """
     check_floor_fits(k, g)
@@ -211,12 +211,13 @@ def build_counterexample(
     del text  # not held through the conflict graph and the greedy
     if with_upper_bound:
         phi = greedy_color(conflict_graph(graph))
+        # _certify found m mod (2k-1) != 0, so a coloring with fewer than
+        # chi_s_lower = 2k colors puts more than the cap in some class
         report = check_class_sizes(graph, k, phi)
-        lower = record.certificate.chi_s_lower
-        if not report.ok or phi.n_colors < lower:
+        if not report.ok:
             raise InternalInvariantError(
                 f"greedy {phi.n_colors}-coloring breaks the certificate (at least "
-                f"{lower} colors, at most {report.cap} edges a class; "
+                f"{record.certificate.chi_s_lower} colors, at most {report.cap} edges a class; "
                 f"over the cap: {list(report.offenders)})"
             )
         record.upper_bound = phi.n_colors
@@ -234,41 +235,8 @@ def certify_graph(path: str | Path, k: int) -> CounterexampleRecord:
     # Parse the bytes that were hashed.  The parser is looked up on its
     # module, as load_dimacs looks it up, so a wrapper installed on
     # dimacs.parse_dimacs (perfbench's tracer) still sees this call.
-    graph = dimacs.parse_dimacs(raw.decode())
+    graph = dimacs.parse_dimacs(raw)
     return _certify(graph, k, None, raw, seed=None, graph_path=str(path))
-
-
-def usage_cap(graph: SimpleGraph, k: int, usage: int | None) -> int:
-    """The cap m mod (2k-1) on the last color's usage, with ``usage`` held
-    to it.  On a k-regular graph each of the other 2k-1 classes holds at
-    most m // (2k-1) edges, m - cap between them, so every usage is at
-    least the cap, and one below it raises :class:`InternalInvariantError`.
-    On any other graph the cap bounds nothing."""
-    m = graph.n_edges
-    cap = m % (2 * k - 1)
-    if usage is not None and usage < cap and graph.is_regular(k):
-        raise InternalInvariantError(
-            f"usage {usage} on {m} edges is below m mod (2k-1) = {cap}"
-        )
-    return cap
-
-
-def check_color_counts(graph: SimpleGraph, counts: dict[str, int | None]) -> None:
-    """Hold the color counts claimed for ``graph``, by name, to the counting
-    certificate: on a k-regular graph with k >= 2 every strong
-    edge-coloring has at least ``chi_s_lower`` colors, so a count below it
-    raises :class:`InternalInvariantError`.  Other graphs pass."""
-    degrees = graph.degrees()
-    k = degrees[0] if degrees else 0
-    if k < 2 or not graph.is_regular(k):
-        return
-    lower = counting_certificate(graph, k).chi_s_lower
-    for name, count in counts.items():
-        if count is not None and count < lower:
-            raise InternalInvariantError(
-                f"{name} {count} is below chi_s_lower = {lower} on this "
-                f"{k}-regular graph"
-            )
 
 
 def conjecture2_sweep(

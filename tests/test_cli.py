@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import resource
 import subprocess
@@ -17,6 +18,7 @@ from strongedge import (
     girth,
     load_dimacs,
     save_dimacs,
+    serialize_dimacs,
 )
 from strongedge.cli import build_parser, main
 from strongedge.pipeline import canonical_json
@@ -260,6 +262,89 @@ def test_signed_endpoint_is_invalid_input(tmp_path, capsys, command):
     captured = capsys.readouterr()
     assert captured.err == "invalid input: line 3: endpoints must be integers\n"
     assert captured.out == ""
+
+
+class TestBytesThatAreNotUtf8:
+    """A comment may hold any bytes; a byte that is not UTF-8 on any other
+    line is that line's own error, reported with its line number."""
+
+    COMMANDS = {
+        "solve": [],
+        "verify": ["{coloring}"],
+        "certify": ["--k", "3"],
+        "conjecture2": ["--k", "3"],
+    }
+
+    def args(self, tmp_path, command):
+        coloring = tmp_path / "hw.json"
+        return [a.format(coloring=coloring) for a in self.COMMANDS[command]]
+
+    @staticmethod
+    def heawood_after_a_stray_comment(tmp_path):
+        path = tmp_path / "hw.dimacs"
+        path.write_bytes(b"c \xff\n" + serialize_dimacs(heawood_graph()).encode())
+        return path
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_comment_may_hold_any_bytes(self, tmp_path, capsys, command):
+        path = self.heawood_after_a_stray_comment(tmp_path)
+        assert run("solve", path, "-o", tmp_path / "hw.json") == 0
+        assert run(command, path, *self.args(tmp_path, command)) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_certify_hashes_the_raw_bytes(self, tmp_path):
+        path = self.heawood_after_a_stray_comment(tmp_path)
+        assert run("certify", path, "--k", 3, "-o", tmp_path / "record.json") == 0
+        record = json.loads((tmp_path / "record.json").read_text())
+        assert record["graph_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            (b"p edge 2 1\ne 1 \xff\n", "line 2: endpoints must be integers"),
+            (b"p edge 2 1\n\xffe 1 2\n", "line 2: unrecognized line '\\udcffe 1 2'"),
+            (b"c bipartition 1 \xff\np edge 2 1\ne 1 2\n",
+             "line 1: bipartition counts must be integers"),
+            (b"p edge \xff 1\ne 1 2\n", "line 1: counts must be integers"),
+        ],
+        ids=["endpoint", "line-kind", "bipartition", "header"],
+    )
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_stray_byte_is_its_lines_error(self, tmp_path, capsys, command, raw, message):
+        path = tmp_path / "stray.dimacs"
+        path.write_bytes(raw)
+        (tmp_path / "hw.json").write_text("{}")
+        assert run(command, path, *self.args(tmp_path, command)) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"invalid input: {message}\n"
+        assert captured.out == ""
+
+
+def test_coloring_nested_too_deep_is_invalid_input(tmp_path):
+    # the JSON decoder recurses once per bracket
+    graph = tmp_path / "p3.dimacs"
+    save_dimacs(graph, path_graph(3))
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    proc = subprocess.run(
+        [sys.executable, "-m", "strongedge", "verify", str(graph), str(deep)],
+        capture_output=True, text=True, env=cli_env(), timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("invalid input: ")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("encoding", ["utf-8", "utf-16", "utf-32-le"])
+def test_coloring_file_is_read_as_json_encodings(tmp_path, capsys, encoding):
+    # RFC 8259: UTF-8, UTF-16 or UTF-32, whatever the locale
+    graph = tmp_path / "p3.dimacs"
+    save_dimacs(graph, path_graph(3))
+    coloring = tmp_path / "p3.json"
+    data = {"edges": [[1, 2], [2, 3]], "colors": [1, 2], "note": "\u00e9"}
+    coloring.write_bytes(json.dumps(data, ensure_ascii=False).encode(encoding))
+    assert run("verify", graph, coloring) == 0
+    assert "VALID: 2 colors on 2 edges" in capsys.readouterr().out
 
 
 @pytest.fixture

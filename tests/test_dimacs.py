@@ -81,6 +81,13 @@ class TestParse:
         path.write_bytes(b"p edge 3 1\ne 1 2\nc note\re 2 3\n")
         assert load_dimacs(path).edges() == [(0, 1)]
 
+    def test_bytes_parse_as_their_utf8_text(self):
+        # decoding keeps every UTF-8 file as it was; only other bytes change
+        text = "c é　 \nc bipartition 1 1\np edge 2 1\ne 1 2\n"
+        graph = parse_dimacs(text.encode())
+        assert isinstance(graph, BipartiteGraph)
+        assert graph.edges() == parse_dimacs(text).edges() == [(0, 1)]
+
     def test_crlf_line_ends(self):
         g = parse_dimacs("c bipartition 1 2\r\np edge 3 2\r\ne 1 2\r\ne 3 1\r\n")
         assert isinstance(g, BipartiteGraph)

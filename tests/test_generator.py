@@ -784,6 +784,48 @@ class TestGenerate:
         assert sorted(a.edges()) != sorted(b.edges())
 
 
+class TestInvariantRaises:
+    """Each check inside a level raises when its invariant is broken, and a
+    forced build maps that to :class:`ConstructionFailedError` with the
+    check's error as its cause.  Forced k = 3, g = 6, n = 14 builds swap
+    once at seed 7 and never at seed 0."""
+
+    def assert_raised_in_the_build(self, seed, match):
+        with pytest.raises(InternalInvariantError, match=match):
+            strongedge.generator._build(3, 6, 14, seed, force=True)
+        with pytest.raises(ConstructionFailedError) as exc:
+            generate(3, 6, 14, seed, force=True)
+        assert isinstance(exc.value.__cause__, InternalInvariantError)
+        assert re.search(match, str(exc.value.__cause__))
+
+    def test_swap_that_lowers_the_girth(self, monkeypatch):
+        monkeypatch.setattr(strongedge.generator, "_edge_keeps_girth", lambda *args: False)
+        _, state, _, far = TestSwap().build_scripted_state()
+        with pytest.raises(InternalInvariantError,
+                           match=r"girth dropped below 4 after swapping out \(8, 23\) "
+                                 r"for \(3, 23\) and \(16, 8\)"):
+            apply_swap(state, 3, 12 + 4, *far)
+        self.assert_raised_in_the_build(7, "girth dropped below 6 after swapping out")
+
+    def test_swap_that_changes_a_degree(self, monkeypatch):
+        monkeypatch.setattr(BipartiteGraph, "degree", lambda self, v: 0)
+        _, state, _, far = TestSwap().build_scripted_state()
+        with pytest.raises(InternalInvariantError, match=r"swap changed the degree of \(8, 23\)"):
+            apply_swap(state, 3, 12 + 4, *far)
+        self.assert_raised_in_the_build(7, "swap changed the degree of")
+
+    def test_level_that_adds_too_few_edges(self, monkeypatch):
+        link = AugmentState.link
+
+        def link_forgetting_adds(state, x_l, y_l, high=None):
+            link(state, x_l, y_l, high)
+            if high is None:
+                del state.added[x_l, y_l]
+
+        monkeypatch.setattr(AugmentState, "link", link_forgetting_adds)
+        self.assert_raised_in_the_build(0, "level finished with 0 added edges, expected 14")
+
+
 class TestTrace:
     def test_text_format(self):
         _, trace = generate(3, 4, 24, seed=4)

@@ -9,7 +9,9 @@ itself, so no process pool is imported either.  The records are named
 tuples and plain classes, so no module imports ``dataclasses``.  Every name
 the package exports has a caller outside the tests, so test-only code lives
 in the tests.  The DIMACS reader reads every number through one helper, so
-the rule for what a number is lives in one place."""
+the rule for what a number is lives in one place.  Likewise every answer to
+the counting certificate comes from ``bounds.py``: no other module decides
+regularity or computes the window 2k-1 for itself."""
 
 import ast
 import os
@@ -249,3 +251,53 @@ def test_dimacs_reads_every_number_through_one_helper():
         "def f(x: int) -> list[int]:\n    y: int = 0\n    return list(map(int, x)), int(y)\n"
     )
     assert _int_reads(probe, "_two_ints") == [5, 5]
+
+
+def _callers(tree: ast.AST, name: str) -> list[tuple[int, str]]:
+    """(line, innermost enclosing function, or ``<module>``) of every call
+    of ``name`` in ``tree``, plain or as an attribute."""
+    found = []
+    stack = [(tree, "<module>")]
+    while stack:
+        node, func = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        elif isinstance(node, ast.Call):
+            f = node.func
+            if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == name:
+                found.append((node.lineno, func))
+        stack.extend((child, func) for child in ast.iter_child_nodes(node))
+    return sorted(found)
+
+
+def _windows(tree: ast.AST) -> list[int]:
+    """Lines where ``tree`` computes ``2 * x - 1``."""
+    return [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+        and isinstance(node.right, ast.Constant) and node.right.value == 1
+        and isinstance(node.left, ast.BinOp) and isinstance(node.left.op, ast.Mult)
+        and isinstance(node.left.left, ast.Constant) and node.left.left.value == 2
+    ]
+
+
+def test_bounds_holds_every_answer_to_the_certificate():
+    regularity, certificates, windows = [], [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "bounds.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        regularity += [f"{path.name}:{line}" for line, _ in _callers(tree, "is_regular")]
+        certificates += [(path.name, func) for _, func in _callers(tree, "counting_certificate")]
+        if path.name in ("pipeline.py", "cli.py"):
+            windows += [f"{path.name}:{line}" for line in _windows(tree)]
+    assert regularity == [], "ask bounds.py, not is_regular, at " + ", ".join(regularity)
+    assert certificates == [("pipeline.py", "_certify")]
+    assert windows == [], "take the window from bounds.py, not 2 * k - 1, at " + ", ".join(windows)
+    # the checks still see a call, plain, as a method or nested, and the window
+    probe = ast.parse(
+        "def f(g, k):\n    def h():\n        return g.is_regular(k)\n"
+        "    return is_regular(g), 2 * k - 1, 2 * k, k - 1\n"
+    )
+    assert _callers(probe, "is_regular") == [(3, "h"), (4, "f")]
+    assert _windows(probe) == [4]

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from strongedge import (
+    InternalInvariantError,
+    SearchResult,
     StrongColoring,
     choose_n,
     conflict_graph,
@@ -382,6 +384,37 @@ class TestMinLastColorUsage:
     def test_degree_below_one_rejected(self):
         with pytest.raises(ValueError, match="degree must be >= 1"):
             min_last_color_usage(conflict_graph(cycle_graph(6)), 0)
+
+
+class TestInvariantRaises:
+    """A coloring the solver returns is checked, not trusted: each check
+    raises when what it guards is broken."""
+
+    def test_greedy_coloring_that_fails_verify(self, monkeypatch):
+        monkeypatch.setattr(solver, "verify", lambda cg, phi: False)
+        with pytest.raises(InternalInvariantError, match="greedy produced an invalid coloring"):
+            greedy_color(conflict_graph(cycle_graph(6)))
+
+    def test_search_coloring_that_fails_verify(self, monkeypatch):
+        monkeypatch.setattr(solver, "verify", lambda cg, phi: False)
+        with pytest.raises(InternalInvariantError, match="search produced an invalid coloring"):
+            find_coloring(conflict_graph(cycle_graph(6)), 3)
+
+    def test_capped_search_answer_off_its_cap(self, monkeypatch):
+        # C7 needs color 4 at least once (7 mod 3 = 1), so the capped search
+        # runs at t = 0; an answer using color 4 once is not usage 0
+        search = solver._decision_search
+
+        def off_by_one(cg, palette, special_cap, budget):
+            if special_cap is None:
+                return search(cg, palette, special_cap, budget)
+            colors = [palette] * (special_cap + 1) + [1] * (cg.n_nodes - special_cap - 1)
+            return SearchResult("found", StrongColoring(colors), 0)
+
+        monkeypatch.setattr(solver, "_decision_search", off_by_one)
+        with pytest.raises(InternalInvariantError,
+                           match="usage 1 found under cap 0; caps below 0 were already refuted"):
+            min_last_color_usage(conflict_graph(cycle_graph(7)), 2)
 
 
 def equivalence_family():
