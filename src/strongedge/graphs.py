@@ -284,9 +284,9 @@ class ConflictGraph:
     to an endpoint of the other.  Strong edge-colorings of the source graph
     are precisely the proper vertex colorings of this graph.
 
-    ``adj[i]`` is the strictly ascending tuple of the nodes conflicting
-    with node i, and ``degrees[i]`` its length.  Instances are immutable
-    values.
+    ``adj[i]`` is the tuple of the distinct nodes conflicting with node i,
+    in no promised order: every reader uses a row as a set.  ``degrees[i]``
+    is its length.  Instances are immutable values.
     """
 
     def __init__(
@@ -324,5 +324,5 @@ def conflict_graph(g: SimpleGraph) -> ConflictGraph:
     for i, (u, v) in enumerate(endpoints):
         row = {*reach[u], *reach[v]}
         row.discard(i)
-        adj.append(tuple(sorted(row)))
+        adj.append(tuple(row))
     return ConflictGraph(endpoints, tuple(adj), tuple(map(len, adj)))

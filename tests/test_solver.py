@@ -1,11 +1,13 @@
 import itertools
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from strongedge import (
+    ConflictGraph,
     InternalInvariantError,
     SearchResult,
     StrongColoring,
@@ -564,6 +566,83 @@ class TestScanEquivalence:
             res = _search_with(kernel, cg, cg.n_nodes, None, _Budget())
             assert (res.status, res.nodes) == (ref.status, ref.nodes) == ("found", cg.n_nodes)
             assert res.coloring.colors == ref.coloring.colors == greedy_color(cg).colors
+
+
+def shuffled_rows(cg, seed):
+    """``cg`` with every conflict row in a seeded random order."""
+    rng = random.Random(seed)
+    adj = tuple(tuple(rng.sample(row, len(row))) for row in cg.adj)
+    return ConflictGraph(cg.endpoints, adj, cg.degrees)
+
+
+def with_called_names(fn):
+    """``fn()`` and the names of the Python functions it called."""
+    names = set()
+
+    def on_call(frame, event, arg):
+        names.add(frame.f_code.co_name)  # no local tracer: calls only
+
+    before = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        result = fn()
+    finally:
+        sys.settrace(before)
+    return result, names
+
+
+class TestRowOrderIsFree:
+    """A conflict row promises no order, so every reader must use it as a
+    set: a graph whose rows are shuffled gives the same greedy coloring,
+    clique bound, verify answer, search tree on either kernel, exact
+    outcome and usage outcome as the graph as built."""
+
+    @staticmethod
+    def assert_same_answers(cg, seed, palettes, node_budget):
+        """Compare ``cg`` with a shuffle of it; returns whether the bucket
+        kernel re-keyed for the special color on the shuffled graph."""
+        other = shuffled_rows(cg, seed)
+        greedy = greedy_color(cg)
+        assert greedy_color(other).colors == greedy.colors
+        assert _clique_lower_bound(other) == _clique_lower_bound(cg)
+        top = max(greedy.colors, default=0)
+        for colors in (greedy.colors, [1] * cg.n_nodes, [top + 1 - c for c in greedy.colors]):
+            assert verify(other, StrongColoring(colors)) == verify(cg, StrongColoring(colors))
+        rekeyed = False
+        for name, kernel in KERNELS.items():
+            for palette in palettes:
+                for special_cap in (None, 0, 1, 2):
+                    def ask(graph):
+                        res = _search_with(kernel, graph, palette, special_cap,
+                                           _Budget(node_budget=node_budget))
+                        return res.status, res.coloring and res.coloring.colors, res.nodes
+                    answer, called = with_called_names(lambda: ask(other))
+                    assert answer == ask(cg), (name, palette, special_cap)
+                    rekeyed |= "rekey_special_neighbors" in called
+        assert exact_chi_s(other, node_budget=node_budget) == exact_chi_s(cg, node_budget=node_budget)
+        for k in (2, 3):
+            assert (min_last_color_usage(other, k, node_budget=node_budget)
+                    == min_last_color_usage(cg, k, node_budget=node_budget))
+        return rekeyed
+
+    @given(rng=st.randoms(use_true_random=False), seed=st.integers(0, 2**32))
+    @settings(max_examples=60, deadline=None)
+    def test_shuffled_rows_give_the_same_answers(self, rng, seed):
+        cg = conflict_graph(random_simple_graph(rng, 12, 20))
+        out = exact_chi_s(cg, node_budget=20000)
+        chi = out.chi_s if out.chi_s is not None else out.upper_bound
+        self.assert_same_answers(cg, seed, (chi - 1, chi, chi + 1), 2000)
+
+    def test_shuffled_rows_give_the_same_answers_on_a_counterexample(self):
+        # The k = 3, girth-7 seed-1 build: m = 576, so rows as built are
+        # set orders of indices up to 575, not ascending.  Its index is 6
+        # (the counting certificate, and a 6-coloring found by local
+        # search), so palettes 5..8 run below, at and above it.
+        cg = conflict_graph(generate(3, 7, choose_n(3, 7), 1)[0])
+        assert cg.n_nodes == 576
+        other = shuffled_rows(cg, 1)
+        assert other.adj != cg.adj
+        assert self.assert_same_answers(cg, 1, (5, 6, 7, 8), 2000)
 
 
 class TestKernelChoice:
