@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .bounds import check_color_counts, usage_cap
+from .bounds import check_color_counts
 from .dimacs import load_dimacs, save_dimacs
 from .errors import (
     ConstructionFailedError,
@@ -31,13 +31,13 @@ from .pipeline import (
     canonical_json,
     certify_graph,
     conjecture2_sweep,
+    usage_row,
 )
 from .solver import (
     StrongColoring,
     budget_limits,
     exact_chi_s,
     greedy_color,
-    min_last_color_usage,
     verify,
 )
 
@@ -242,30 +242,19 @@ def _cmd_certify(args) -> int:
 
 def _cmd_conjecture2(args) -> int:
     graph = load_dimacs(args.graph)
-    degs = graph.degrees()
-    m = graph.n_edges
-    result = min_last_color_usage(
-        conflict_graph(graph),
-        args.k,
-        budget_ms=args.budget_ms,
-        node_budget=args.node_budget,
-    )
-    cap = usage_cap(graph, args.k, result.usage)
+    row = usage_row(graph, args.k, budget_ms=args.budget_ms, node_budget=args.node_budget)
     print(
-        f"m={m} cap={cap} usage={result.usage} status={result.status} "
-        f"(max degree {max(degs, default=0)})"
+        f"m={row.m} cap={row.cap} usage={row.usage} status={row.status} "
+        f"(max degree {max(graph.degrees(), default=0)})"
     )
-    if result.status == "infeasible":
-        print(f"NOTE: no strong coloring with {2 * args.k} colors exists")
-        return EXIT_OK
-    if result.status == "best-found":
-        return EXIT_TIMEOUT
-    if result.usage > cap:
+    if row.flagged:
         print(
-            f"CAP EXCEEDED: exact usage {result.usage} > cap {cap}; "
+            f"CAP EXCEEDED: exact usage {row.usage} > cap {row.cap}; "
             f"potential counterexample to the usage conjecture"
         )
-    return EXIT_OK
+    if row.status == "infeasible":
+        print(f"NOTE: no strong coloring with {2 * args.k} colors exists")
+    return EXIT_TIMEOUT if row.status == "best-found" else EXIT_OK
 
 
 def _cmd_sweep(args) -> int:

@@ -1,12 +1,13 @@
 """DIMACS edge-format reader and writer.
 
 The format is the usual ``p edge <V> <E>`` header with 1-based ``e <u> <v>``
-lines, extended with an optional comment ``c bipartition <n_left> <n_right>``.
-When the bipartition comment is present the parser returns a
-:class:`BipartiteGraph` (left side 1..n_left, right side n_left+1..V) and
-validates that every edge crosses sides; otherwise it returns a
-:class:`SimpleGraph`.  Counts and endpoints are ASCII decimal numbers, as
-other DIMACS readers take them; a comment may hold any bytes.
+lines, extended with an optional comment ``c bipartition <n_left> <n_right>``,
+which may appear once, as the header may.  When the bipartition comment is
+present the parser returns a :class:`BipartiteGraph` (left side 1..n_left,
+right side n_left+1..V) and validates that every edge crosses sides;
+otherwise it returns a :class:`SimpleGraph`.  Counts and endpoints are
+ASCII decimal numbers, as other DIMACS readers take them; a comment may
+hold any bytes.
 
 Serialization is canonical: bipartition comment first (if any), then the
 header, then edges sorted by normalized endpoint pair, so identical graphs
@@ -30,8 +31,8 @@ def parse_dimacs(text: str | bytes) -> SimpleGraph | BipartiteGraph:
     surrogate, so a comment may hold any bytes, and such a byte on another
     line is that line's own error.  Raises :class:`DimacsParseError` (with
     the offending line number) on a malformed line, a vertex count above
-    :data:`~strongedge.graphs.MAX_VERTICES`, a header/body count mismatch,
-    or a duplicate edge.
+    :data:`~strongedge.graphs.MAX_VERTICES`, a second problem or
+    bipartition line, a header/body count mismatch, or a duplicate edge.
     """
     if isinstance(text, bytes):
         text = text.decode(errors="surrogateescape")
@@ -60,6 +61,8 @@ def parse_dimacs(text: str | bytes) -> SimpleGraph | BipartiteGraph:
                 raise DimacsParseError(f"self-loop at vertex {u}", line_no)
             ends.extend((u, v))
         elif parts[:2] == ["c", "bipartition"]:
+            if bipartition is not None:
+                raise DimacsParseError("duplicate bipartition line", line_no)
             if len(parts) != 4:
                 raise DimacsParseError("bipartition comment needs exactly two counts", line_no)
             bipartition = _two_ints(raw, parts, 2, "bipartition counts", line_no)

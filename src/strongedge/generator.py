@@ -126,10 +126,6 @@ class SwapStep(NamedTuple):
     x_low: int
     y_low: int
 
-    @property
-    def added(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        return ((self.x_low, self.y_high), (self.y_low, self.x_high))
-
 
 class GeneratorTrace(NamedTuple):
     """Reproducible log of one construction run.

@@ -87,10 +87,6 @@ class SimpleGraph:
         """Endpoint pairs, as inserted, in insertion order."""
         return list(self._edges.values())
 
-    def neighbors(self, v: int) -> list[int]:
-        self._check_vertex(v)
-        return list(self._adj[v])
-
     def degree(self, v: int) -> int:
         self._check_vertex(v)
         return len(self._adj[v])

@@ -1,5 +1,6 @@
 """End-to-end runs: build a certified counterexample instance, re-verify a
-graph supplied from outside, and sweep last-color-usage evidence.
+graph supplied from outside, and measure last-color usage on one graph or
+over a sweep of generated ones.
 
 The refutation pipeline is counting-based: the lower bound in a record
 always comes from the divisibility certificate, never from the solver (the
@@ -60,12 +61,14 @@ class CounterexampleRecord:
 
 
 class Conjecture2Row(NamedTuple):
-    """One instance's last-color usage measured against the cap."""
+    """One graph's last-color usage measured against the cap.  ``g``, ``n``
+    and ``seed`` name a generated instance; they are None for a graph read
+    from a file."""
 
     k: int
-    g: int
-    n: int
-    seed: int
+    g: int | None
+    n: int | None
+    seed: int | None
     m: int
     cap: int
     usage: int | None
@@ -239,6 +242,23 @@ def certify_graph(path: str | Path, k: int) -> CounterexampleRecord:
     return _certify(graph, k, None, raw, seed=None, graph_path=str(path))
 
 
+def usage_row(
+    graph: SimpleGraph, k: int, g: int | None = None, n: int | None = None,
+    seed: int | None = None, *, budget_ms: int | None = None, node_budget: int | None = None,
+) -> Conjecture2Row:
+    """The usage question, asked here alone for ``conjecture2`` and for
+    every sweep row: the least usage of color 2k over strong colorings of
+    ``graph`` with colors 1..2k, held to the cap m mod (2k-1) by
+    :func:`usage_cap`.  ``g``, ``n`` and ``seed`` only label the row.
+    The search is looked up in this module, where perfbench's tracer wraps
+    it."""
+    result = min_last_color_usage(
+        conflict_graph(graph), k, budget_ms=budget_ms, node_budget=node_budget
+    )
+    cap = usage_cap(graph, k, result.usage)
+    return Conjecture2Row(k, g, n, seed, graph.n_edges, cap, result.usage, result.status)
+
+
 def conjecture2_sweep(
     k: int,
     g: int,
@@ -254,8 +274,8 @@ def conjecture2_sweep(
     ``count`` generated instances.
 
     Instance i uses side size n_start + i (default floor: min_n) and seed
-    seed + i, so caps vary across the sweep.  The graphs are k-regular, so
-    every usage is held to the cap by :func:`usage_cap`.
+    seed + i, so caps vary across the sweep.  Each row is
+    :func:`usage_row` on the generated graph.
 
     A row is a function of (k, g, n, seed, budgets) alone, so rows run side
     by side, one process per CPU of the affinity mask, and the evidence has
@@ -272,11 +292,7 @@ def conjecture2_sweep(
     def row(i: int) -> Conjecture2Row:
         n, inst_seed = n_start + i, seed + i
         graph, _ = generate(k, g, n, inst_seed, force=force)
-        result = min_last_color_usage(
-            conflict_graph(graph), k, budget_ms=budget_ms, node_budget=node_budget
-        )
-        cap = usage_cap(graph, k, result.usage)
-        return Conjecture2Row(k, g, n, inst_seed, graph.n_edges, cap, result.usage, result.status)
+        return usage_row(graph, k, g, n, inst_seed, budget_ms=budget_ms, node_budget=node_budget)
 
     return Conjecture2Evidence(k=k, g=g, rows=tuple(_map_rows(row, count)))
 

@@ -159,7 +159,7 @@ def brute_girth(g: SimpleGraph) -> int | float:
             a = queue.popleft()
             if a == v:
                 break
-            for b in g.neighbors(a):
+            for b in neighbors(g, a):
                 if (a, b) != (u, v) and b not in dist:
                     dist[b] = dist[a] + 1
                     queue.append(b)
@@ -172,6 +172,18 @@ def has_edge(graph: SimpleGraph, u: int, v: int) -> bool:
     """True iff ``graph`` stores the edge {u, v}, looked up under the
     graph's key for it, its endpoints low first."""
     return ((u, v) if u < v else (v, u)) in graph._edges
+
+
+def neighbors(graph: SimpleGraph, v: int) -> list[int]:
+    """The neighbors of ``v`` in ``graph``'s adjacency order, after the
+    graph's own vertex check."""
+    graph._check_vertex(v)
+    return list(graph._adj[v])
+
+
+def swap_added(step: SwapStep) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The two edges a swap step adds: x_l y_h and y_l x_h."""
+    return ((step.x_low, step.y_high), (step.y_low, step.x_high))
 
 
 def check_consistent(g: SimpleGraph) -> None:
@@ -441,7 +453,7 @@ def replay_trace(trace: GeneratorTrace) -> BipartiteGraph:
                     f"({step.x_high}, {step.y_high})"
                 )
             graph.remove_edge(step.x_high, step.y_high)
-            new_edges = step.added
+            new_edges = swap_added(step)
         for u, v in new_edges:
             graph.add_edge(u, v)
         for u, v in new_edges:

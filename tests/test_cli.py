@@ -14,6 +14,7 @@ from strongedge import (
     StrongColoring,
     certify_graph,
     choose_n,
+    conjecture2_sweep,
     generate,
     girth,
     load_dimacs,
@@ -393,7 +394,7 @@ class TestSolveHeldToTheCertificate:
 class TestConjecture2Commands:
     def test_usage_below_the_cap_on_a_regular_graph_is_a_bug(self, monkeypatch, cubic_g5):
         monkeypatch.setattr(
-            "strongedge.cli.min_last_color_usage",
+            "strongedge.pipeline.min_last_color_usage",
             lambda cg, k, **budgets: MinLastUsageResult("exact", 0, None, 0),
         )
         with pytest.raises(InternalInvariantError, match="usage 0 on 144 edges is below m mod"):
@@ -406,7 +407,7 @@ class TestConjecture2Commands:
         path = tmp_path / "p5.dimacs"
         save_dimacs(path, path_graph(5))
         monkeypatch.setattr(
-            "strongedge.cli.min_last_color_usage",
+            "strongedge.pipeline.min_last_color_usage",
             lambda cg, k, **budgets: MinLastUsageResult("exact", 0, None, 0),
         )
         assert run("conjecture2", path, "--k", 2) == 0
@@ -414,7 +415,7 @@ class TestConjecture2Commands:
 
     def test_usage_above_the_cap_is_flagged(self, monkeypatch, cubic_g5, capsys):
         monkeypatch.setattr(
-            "strongedge.cli.min_last_color_usage",
+            "strongedge.pipeline.min_last_color_usage",
             lambda cg, k, **budgets: MinLastUsageResult("exact", 5, None, 0),
         )
         assert run("conjecture2", cubic_g5, "--k", 3) == 0
@@ -438,6 +439,31 @@ class TestConjecture2Commands:
             for r in rows
         ]
         assert len(flagged) == 3 and all(r["flagged"] for r in rows)
+
+    @pytest.mark.parametrize(
+        ("k", "g", "count", "kwargs", "flags"),
+        [
+            (2, 4, 3, {}, [False, False, False]),
+            # B: exact usage 5 against cap 0, settled in 540,624 nodes, within the budget
+            (3, 6, 1, {"n_start": 15, "force": True}, [True]),
+        ],
+        ids=["k2-g4", "B"],
+    )
+    def test_command_prints_the_sweep_row(self, tmp_path, capsys, k, g, count, kwargs, flags):
+        budget = 600_000
+        rows = conjecture2_sweep(k, g, count, node_budget=budget, **kwargs).rows
+        assert [row.flagged for row in rows] == flags
+        for row in rows:
+            path = tmp_path / f"n{row.n}-seed{row.seed}.dimacs"
+            save_dimacs(path, generate(k, g, row.n, row.seed, force=kwargs.get("force", False))[0])
+            capsys.readouterr()
+            code = run("conjecture2", path, "--k", k, "--node-budget", budget)
+            assert code == (4 if row.status == "best-found" else 0)
+            lines = capsys.readouterr().out.splitlines()
+            assert lines[0].startswith(
+                f"m={row.m} cap={row.cap} usage={row.usage} status={row.status} "
+            )
+            assert any(line.startswith("CAP EXCEEDED") for line in lines) == row.flagged
 
     def test_single_graph_usage(self, tmp_path, capsys):
         path = tmp_path / "c12.dimacs"

@@ -185,6 +185,10 @@ class TestParse:
             ("c bipartition 1 two\np edge 2 1\ne 1 2\n", "bipartition counts must be integers", 1),
             ("c bipartition 0 2\np edge 2 1\ne 1 2\n", "bipartition sides must be >= 1", 1),
             ("p edge 2 0\np edge 2 0\n", "duplicate problem line", 2),
+            ("c bipartition 2 2\nc bipartition 1 3\np edge 4 1\ne 1 3\n",
+             "duplicate bipartition line", 2),
+            ("c bipartition 1 1\np edge 2 1\ne 1 2\nc bipartition 1 1\n",
+             "duplicate bipartition line", 4),
             ("c x\np col 2 1\ne 1 2\n", "expected 'p edge <V> <E>', got 'p col 2 1'", 2),
             ("p edge 2 one\n", "counts must be integers", 1),
             ("p edge 2 -1\n", "counts must be >= 0", 1),

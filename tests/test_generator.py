@@ -34,7 +34,15 @@ from strongedge import (
 import strongedge.generator
 from strongedge.generator import MASK_CAP, _below, _dense_balls, _far_y, _raise_degree, _shuffled
 from strongedge.graphs import MAX_VERTICES
-from _helpers import below, front_run, has_edge, reference_generate, replay_trace, scan_distant_low_pair
+from _helpers import (
+    below,
+    front_run,
+    has_edge,
+    reference_generate,
+    replay_trace,
+    scan_distant_low_pair,
+    swap_added,
+)
 
 
 def apply_prefix(trace, t):
@@ -45,7 +53,7 @@ def apply_prefix(trace, t):
             pairs = [(step.x, step.y)]
         else:
             graph.remove_edge(step.x_high, step.y_high)
-            pairs = list(step.added)
+            pairs = list(swap_added(step))
         for u, v in pairs:
             graph.add_edge(u, v)
     return graph

@@ -29,6 +29,7 @@ from _helpers import (
     cycle_graph,
     has_edge,
     heawood_graph,
+    neighbors,
     path_graph,
     petersen_graph,
     random_simple_graph,
@@ -177,7 +178,7 @@ class TestConstruction:
         g.add_edge(4, 1)
         assert g.edges() == [(1, 4)]
         assert has_edge(g, 4, 1) and has_edge(g, 1, 4)
-        assert g.neighbors(4) == [1] and g.neighbors(1) == [4]
+        assert neighbors(g, 4) == [1] and neighbors(g, 1) == [4]
 
     def test_high_first_edge_keeps_its_orientation(self):
         g = SimpleGraph(4)
@@ -425,11 +426,11 @@ class TestGirth:
         graphs += [generate(3, 6, 96, 0)[0], petersen_graph(), removed, SimpleGraph(4)]
         for graph in graphs:
             edges = graph.edges()
-            adjacency = [graph.neighbors(v) for v in range(graph.n_vertices)]
+            adjacency = [neighbors(graph, v) for v in range(graph.n_vertices)]
             girth(graph)
             check_consistent(graph)
             assert graph.edges() == edges
-            assert [graph.neighbors(v) for v in range(graph.n_vertices)] == adjacency
+            assert [neighbors(graph, v) for v in range(graph.n_vertices)] == adjacency
             assert girth(graph) == brute_girth(graph)
 
 

@@ -11,7 +11,9 @@ the package exports has a caller outside the tests, so test-only code lives
 in the tests.  The DIMACS reader reads every number through one helper, so
 the rule for what a number is lives in one place.  Likewise every answer to
 the counting certificate comes from ``bounds.py``: no other module decides
-regularity or computes the window 2k-1 for itself."""
+regularity or computes the window 2k-1 for itself.  The usage question
+is asked in one function, ``pipeline.usage_row``, for the single-graph
+command and for every sweep row alike."""
 
 import ast
 import os
@@ -301,3 +303,21 @@ def test_bounds_holds_every_answer_to_the_certificate():
     )
     assert _callers(probe, "is_regular") == [(3, "h"), (4, "f")]
     assert _windows(probe) == [4]
+
+
+def test_usage_question_is_asked_in_usage_row_alone():
+    trees = {
+        name: ast.parse((PACKAGE / name).read_text(), filename=name)
+        for name in ("cli.py", "pipeline.py")
+    }
+    for name in ("min_last_color_usage", "usage_cap"):
+        calls = [f"cli.py:{line}" for line, _ in _callers(trees["cli.py"], name)]
+        assert calls == [], f"ask pipeline.usage_row, not {name}, at " + ", ".join(calls)
+        assert [func for _, func in _callers(trees["pipeline.py"], name)] == ["usage_row"]
+    # the check still sees such a call, plain or as an attribute
+    probe = ast.parse(
+        "def f(graph, cg, k):\n"
+        "    return solver.min_last_color_usage(cg, k), usage_cap(graph, k, None)\n"
+    )
+    assert _callers(probe, "min_last_color_usage") == [(2, "f")]
+    assert _callers(probe, "usage_cap") == [(2, "f")]
